@@ -12,6 +12,12 @@ cargo build --release
 step "cargo test -q"
 cargo test -q
 
+step "collect + features crate tests (release)"
+# The root package's `cargo test -q` does not run crate unit tests; these
+# two suites cover the collection server core, its drivers and the
+# feature extractors that read its records.
+cargo test --release -q -p racket-collect -p racket-features
+
 step "chaos matrix (release)"
 # The fault-injection suite runs eight full studies (one per fault
 # profile); release mode keeps it to seconds.

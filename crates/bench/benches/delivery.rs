@@ -82,7 +82,13 @@ fn bench_serialize(c: &mut Criterion) {
         b.iter(|| SnapshotCollector::deserialize_file(std::hint::black_box(&file)).unwrap())
     });
     g.bench_function("json_baseline", |b| {
-        b.iter(|| SnapshotCollector::deserialize_file(std::hint::black_box(&json_file)).unwrap())
+        b.iter(|| {
+            std::hint::black_box(&json_file)
+                .split(|&b| b == b'\n')
+                .filter(|line| !line.is_empty())
+                .map(|line| serde_json::from_slice::<Snapshot>(line).unwrap())
+                .collect::<Vec<_>>()
+        })
     });
     g.finish();
 }

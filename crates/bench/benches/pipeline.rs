@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use racket_agents::{Fleet, FleetConfig};
-use racket_collect::{CollectionServer, CollectorConfig, SnapshotCollector};
+use racket_collect::{CollectorConfig, ShardedIngest, SnapshotCollector};
 use racket_features::{app_features, device_features};
 use racket_types::{InstallId, ParticipantId, SimTime};
 
@@ -39,8 +39,8 @@ fn bench_collection(c: &mut Criterion) {
             ParticipantId(111_111),
         );
         let snap = racket_types::Snapshot::Fast(collector.sample_fast(&dev.device, SimTime::EPOCH));
-        let mut server = CollectionServer::new([ParticipantId(111_111)]);
-        b.iter(|| server.ingest_snapshot(std::hint::black_box(&snap)))
+        let store = ShardedIngest::new(1);
+        b.iter(|| store.ingest(std::hint::black_box(&snap)))
     });
     g.finish();
 }

@@ -28,8 +28,8 @@
 //!   server-side file dedup) makes the shed invisible in the study data.
 //!   Sign-ins are never shed: they are tiny, and admission decisions
 //!   depend on them.
-//! * Sign-in gating and upload dedup live in a sharded admission table
-//!   (`Admission`'s internals) so workers only contend on installs that
+//! * Admitted messages go to the shared [`CollectionServer`] core, whose
+//!   sharded admission tables let workers contend only on installs that
 //!   hash to the same shard; decompression and parsing happen *outside*
 //!   every lock, and parsed snapshots feed the same
 //!   [`crate::shard::ShardedIngest`] the direct path uses.
@@ -46,28 +46,20 @@
 //! fingerprint. `ARCHITECTURE.md` §8 states the full contract;
 //! `tests/async_equivalence.rs` and `tests/backpressure.rs` enforce it.
 
-use crate::collector::SnapshotCollector;
-use crate::hash::sha256;
-use crate::lzss;
 use crate::retry::SERVER_FAULT_SALT;
-use crate::server::ServerStats;
+use crate::server::{CollectionServer, ServerStats};
 use crate::shard::ShardedIngest;
 use crate::transport::{FaultPlan, MemTransport, Transport};
 use crate::wire::{FrameCodec, Message};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 use racket_obs::{LocalHistogram, Registry, SPAN_PREFIX};
 use racket_reactor::{IdleStrategy, Poller, Source, TimerWheel, Token};
 use racket_types::metrics::keys;
-use racket_types::{FaultCounters, InstallId, ParticipantId, Snapshot};
-use std::collections::{HashMap, HashSet, VecDeque};
+use racket_types::{FaultCounters, ParticipantId};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Number of admission shards (sign-in sets, dedup tables, stats). Sized
-/// so that even a full worker pool rarely contends on one lock.
-const ADMISSION_SHARDS: usize = 64;
 
 /// Protocol error code for a load-shed upload (the wire-visible half of
 /// admission control; see `PROTOCOL.md` §"Concurrent connections").
@@ -223,159 +215,6 @@ impl Source for Connection {
     }
 }
 
-/// One admission shard: the sign-in set, the upload dedup table and the
-/// protocol stats for the installs hashing here.
-#[derive(Default)]
-struct AdmShard {
-    signed_in: HashSet<InstallId>,
-    /// `(install, file_id) → sha256` of every ingested file (the dedup
-    /// table that makes upload replays idempotent, PROTOCOL.md §6).
-    ingested: HashMap<InstallId, HashMap<u64, [u8; 32]>>,
-    stats: ServerStats,
-}
-
-/// Shared admission state: participant gating, sharded sign-in/dedup
-/// tables, and the ingest sink.
-///
-/// The lock discipline that keeps the hot path parallel: hashing,
-/// decompression and parsing happen on the worker thread *outside* any
-/// shard lock; the lock is held only for set/map probes and counter
-/// bumps. Per-install sequentiality (one install = one connection = one
-/// worker) means the check-then-insert dedup window is race-free without
-/// holding the lock across the parse.
-struct Admission {
-    registered: HashSet<ParticipantId>,
-    shards: Vec<Mutex<AdmShard>>,
-    sharded: Arc<ShardedIngest>,
-}
-
-impl Admission {
-    fn new(
-        participants: impl IntoIterator<Item = ParticipantId>,
-        sharded: Arc<ShardedIngest>,
-    ) -> Self {
-        Admission {
-            registered: participants.into_iter().collect(),
-            shards: (0..ADMISSION_SHARDS)
-                .map(|_| Mutex::new(AdmShard::default()))
-                .collect(),
-            sharded,
-        }
-    }
-
-    fn shard(&self, install: InstallId) -> &Mutex<AdmShard> {
-        &self.shards[install.raw() as usize % self.shards.len()]
-    }
-
-    /// Handle one admitted message, producing the reply to send (if any).
-    /// Mirrors [`crate::server::CollectionServer::handle`] decision for
-    /// decision; the differences are purely structural (sharded state,
-    /// scratch owned by the worker, ingest through [`ShardedIngest`]).
-    fn handle(&self, msg: Message, scratch: &mut Vec<u8>) -> Option<Message> {
-        match msg {
-            Message::SignIn {
-                participant,
-                install,
-            } => {
-                let accepted = participant.is_valid() && self.registered.contains(&participant);
-                let mut shard = self.shard(install).lock();
-                if accepted {
-                    if shard.signed_in.insert(install) {
-                        shard.stats.sign_ins += 1;
-                    }
-                } else {
-                    shard.stats.rejected_sign_ins += 1;
-                }
-                Some(Message::SignInAck { accepted })
-            }
-            Message::SnapshotUpload {
-                install,
-                file_id,
-                fast: _,
-                payload,
-            } => Some(self.handle_upload(install, file_id, &payload, scratch)),
-            // Acks and errors addressed to clients are ignored, as on the
-            // synchronous server.
-            Message::SignInAck { .. } | Message::UploadAck { .. } | Message::Error { .. } => None,
-        }
-    }
-
-    fn handle_upload(
-        &self,
-        install: InstallId,
-        file_id: u64,
-        payload: &[u8],
-        scratch: &mut Vec<u8>,
-    ) -> Message {
-        // Hash exactly what was received, outside any lock.
-        let digest = sha256(payload);
-        {
-            let mut shard = self.shard(install).lock();
-            if !shard.signed_in.contains(&install) {
-                return Message::Error {
-                    code: 401,
-                    detail: "install not signed in".into(),
-                };
-            }
-            if shard
-                .ingested
-                .get(&install)
-                .and_then(|files| files.get(&file_id))
-                == Some(&digest)
-            {
-                // Replay of an already-ingested file (the ack was lost):
-                // re-acknowledge without re-ingesting.
-                shard.stats.dup_files += 1;
-                return Message::UploadAck {
-                    file_id,
-                    sha256: digest,
-                };
-            }
-        }
-        // Decompress + parse outside the lock; only the bookkeeping
-        // re-acquires it.
-        match lzss::decompress_into(payload, scratch)
-            .map_err(|e| e.to_string())
-            .and_then(|()| SnapshotCollector::deserialize_file(scratch).map_err(|e| e.to_string()))
-        {
-            Ok(snapshots) => {
-                self.ingest_file(&snapshots);
-                let mut shard = self.shard(install).lock();
-                shard.stats.files += 1;
-                shard
-                    .ingested
-                    .entry(install)
-                    .or_default()
-                    .insert(file_id, digest);
-                Message::UploadAck {
-                    file_id,
-                    sha256: digest,
-                }
-            }
-            Err(detail) => {
-                self.shard(install).lock().stats.bad_uploads += 1;
-                Message::Error { code: 400, detail }
-            }
-        }
-    }
-
-    /// Feed one decoded file's snapshots to the sharded ingest in
-    /// single-install runs (files are single-install in practice; mixed
-    /// files still ingest correctly, one batch per run).
-    fn ingest_file(&self, snapshots: &[Snapshot]) {
-        let mut i = 0;
-        while i < snapshots.len() {
-            let install = snapshots[i].install_id();
-            let mut j = i + 1;
-            while j < snapshots.len() && snapshots[j].install_id() == install {
-                j += 1;
-            }
-            self.sharded.ingest_batch(&snapshots[i..j]);
-            i = j;
-        }
-    }
-}
-
 /// Per-worker counters and span histograms, returned on join and merged
 /// into the study registry at shutdown. Everything here is observability
 /// only — none of it enters an output fingerprint.
@@ -396,14 +235,11 @@ struct WorkerReport {
 struct Worker {
     intake: Receiver<Connection>,
     stop: Arc<AtomicBool>,
-    admission: Arc<Admission>,
+    server: Arc<CollectionServer>,
     cfg: AsyncServerConfig,
     poller: Poller<Connection>,
     wheel: TimerWheel,
     idle: IdleStrategy,
-    /// Pooled decompression scratch shared by every upload this worker
-    /// processes.
-    scratch: Vec<u8>,
     /// Monotonic stamp generator for stall-timer entries.
     stamp_counter: u64,
     report: WorkerReport,
@@ -413,18 +249,17 @@ impl Worker {
     fn new(
         intake: Receiver<Connection>,
         stop: Arc<AtomicBool>,
-        admission: Arc<Admission>,
+        server: Arc<CollectionServer>,
         cfg: AsyncServerConfig,
     ) -> Self {
         Worker {
             intake,
             stop,
-            admission,
+            server,
             cfg,
             poller: Poller::new(),
             wheel: TimerWheel::new(256),
             idle: IdleStrategy::default_for_io(),
-            scratch: Vec::new(),
             stamp_counter: 0,
             report: WorkerReport::default(),
         }
@@ -493,7 +328,7 @@ impl Worker {
 
     /// Service one ready connection: reconnect handshake, reads, decode,
     /// admission-bounded queueing (load-shedding overflow uploads), then
-    /// a fairness-bounded drain of the queue through admission. Returns
+    /// a fairness-bounded drain of the queue through the server core. Returns
     /// `(made_progress, should_close)`.
     fn service(&mut self, token: Token, now_ms: u64) -> (bool, bool) {
         let Some(conn) = self.poller.get_mut(token) else {
@@ -607,7 +442,7 @@ impl Worker {
             };
             served += 1;
             progress = true;
-            if let Some(reply) = self.admission.handle(msg, &mut self.scratch) {
+            if let Some(reply) = self.server.handle(msg) {
                 let seq = conn.out_seq;
                 conn.out_seq += 1;
                 reply.encode_seq_into(seq, &mut conn.frame_buf);
@@ -648,14 +483,14 @@ impl Worker {
     }
 }
 
-/// The async collection plane: a worker pool plus the shared admission
-/// state. See the module docs for the architecture and
+/// The async collection plane: a worker pool driving one shared
+/// [`CollectionServer`]. See the module docs for the architecture and
 /// `ARCHITECTURE.md` §8 for the full contract.
 pub struct AsyncCollectServer {
     intakes: Vec<Sender<Connection>>,
     handles: Vec<std::thread::JoinHandle<WorkerReport>>,
     stop: Arc<AtomicBool>,
-    admission: Arc<Admission>,
+    server: Arc<CollectionServer>,
     /// Round-robin cursor for connection placement.
     next: AtomicUsize,
 }
@@ -669,14 +504,14 @@ impl AsyncCollectServer {
         sharded: Arc<ShardedIngest>,
         cfg: AsyncServerConfig,
     ) -> Self {
-        let admission = Arc::new(Admission::new(participants, sharded));
+        let server = Arc::new(CollectionServer::new(participants, sharded));
         let stop = Arc::new(AtomicBool::new(false));
         let workers = cfg.workers.max(1);
         let mut intakes = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
             let (tx, rx) = unbounded();
-            let worker = Worker::new(rx, Arc::clone(&stop), Arc::clone(&admission), cfg);
+            let worker = Worker::new(rx, Arc::clone(&stop), Arc::clone(&server), cfg);
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("collect-worker-{w}"))
@@ -689,7 +524,7 @@ impl AsyncCollectServer {
             intakes,
             handles,
             stop,
-            admission,
+            server,
             next: AtomicUsize::new(0),
         }
     }
@@ -730,13 +565,9 @@ impl AsyncCollectServer {
     /// Stop the workers (after they drain every queued message), merge
     /// their reports into `registry` (`server/*` spans, `server.*`
     /// counters, server-side fault and stale-frame tallies) and return
-    /// the folded protocol stats.
-    ///
-    /// The returned [`ServerStats`] counts sign-ins, files, dedups and
-    /// bad uploads; `snapshots` stays 0 because ingested snapshots are
-    /// counted by the [`ShardedIngest`] the caller drains (fold them via
-    /// [`crate::server::CollectionServer::add_ingested_snapshots`] or a
-    /// shard merge, exactly like the direct path).
+    /// the server's [`CollectionServer::stats`]. The server's reference to
+    /// the [`ShardedIngest`] is released on return, so the caller can
+    /// unwrap and drain its own `Arc`.
     pub fn shutdown(self, registry: &Registry) -> ServerStats {
         self.stop.store(true, Ordering::SeqCst);
         drop(self.intakes);
@@ -763,20 +594,21 @@ impl AsyncCollectServer {
         registry.gauge_set(keys::SERVER_QUEUE_DEPTH_PEAK, totals.queue_depth_peak);
         registry.add(keys::STALE_FRAMES, totals.stale_frames);
         totals.faults.record_to(registry);
-        let mut stats = ServerStats::default();
-        for shard in &self.admission.shards {
-            stats.merge(&shard.lock().stats);
-        }
-        stats
+        self.server.stats()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collector::SnapshotCollector;
+    use crate::hash::sha256;
+    use crate::lzss;
     use racket_types::{
-        ApkHash, AppId, FastSnapshot, InstallDelta, InstalledApp, PermissionProfile, SimTime,
+        ApkHash, AppId, FastSnapshot, InstallDelta, InstallId, InstalledApp, PermissionProfile,
+        SimTime, Snapshot,
     };
+    use std::collections::HashSet;
 
     const P: ParticipantId = ParticipantId(123_456);
     const I: InstallId = InstallId(1_000_000_000);

@@ -15,11 +15,9 @@
 //! └────────┴──────────────┴──────────────────┘
 //! ```
 //!
-//! The leading tag byte doubles as the file-format version marker:
-//! legacy accumulation files are JSON lines and always start with `{`
-//! (0x7B), so [`SnapshotCollector::deserialize_file`] sniffs the first
-//! byte of a file to pick the decoder — old files keep parsing forever,
-//! and a future `0xB2` body layout can ride the same dispatch. All
+//! The leading tag byte doubles as the record-format version marker:
+//! [`SnapshotCollector::deserialize_file`] rejects any other tag, so a
+//! future `0xB2` body layout can be told apart record by record. All
 //! multi-byte integers are little-endian; `Option` fields are a presence
 //! byte (0/1) followed by the value; `Vec` fields are a `u32` count
 //! followed by the elements.
@@ -59,8 +57,6 @@ pub enum DecodeError {
     /// A structurally invalid value (unknown tag, bad discriminant,
     /// trailing bytes); the payload names the violation.
     Corrupt(&'static str),
-    /// A legacy JSON-lines file failed to parse.
-    Json(serde_json::Error),
 }
 
 impl std::fmt::Display for DecodeError {
@@ -68,18 +64,11 @@ impl std::fmt::Display for DecodeError {
         match self {
             DecodeError::Truncated => write!(f, "snapshot record truncated"),
             DecodeError::Corrupt(what) => write!(f, "snapshot record corrupt: {what}"),
-            DecodeError::Json(e) => write!(f, "legacy JSON snapshot line: {e:?}"),
         }
     }
 }
 
 impl std::error::Error for DecodeError {}
-
-impl From<serde_json::Error> for DecodeError {
-    fn from(e: serde_json::Error) -> Self {
-        DecodeError::Json(e)
-    }
-}
 
 // ---------------------------------------------------------------- encode
 

@@ -9,7 +9,7 @@
 //!   deleted only once the server acknowledges the upload with a matching
 //!   content hash;
 //! * [`codec`] — the compact, version-tagged binary record format those
-//!   accumulation files use (legacy JSON-lines files still parse);
+//!   accumulation files use;
 //! * [`hash`] — SHA-256 (upload acknowledgement), MD5 (apk hashes) and
 //!   CRC32 (frame checksums), all implemented in-crate and pinned against
 //!   published test vectors;
@@ -22,20 +22,22 @@
 //!   drive;
 //! * [`retry`] — the client-side retry/backoff state machine:
 //!   [`retry::WireLane`] runs one device's protocol session over a
-//!   (possibly fault-injected) loopback link with bounded exponential
-//!   backoff, reconnect-and-resume, and exactly-once delivery via the
+//!   (possibly fault-injected) loopback link to a [`CollectionServer`]
+//!   with bounded exponential backoff, reconnect-and-resume, and
+//!   exactly-once delivery via the
 //!   server's idempotent ingest;
-//! * [`server`] — the collection server: sign-in validation, upload
-//!   ingestion (verify CRC → decompress → parse → acknowledge), and
+//! * [`server`] — the collection server, the one protocol core every
+//!   driver (loopback lane, TCP, async plane) calls: sign-in validation,
+//!   upload ingestion (dedup → decompress → parse → acknowledge), and
 //!   per-install aggregation of snapshot statistics;
 //! * [`async_server`] — the reactor-driven collection plane:
 //!   thread-per-core workers multiplexing thousands of connections over
 //!   [`racket_reactor`] readiness polling, with bounded per-connection
 //!   queues, load-shedding admission control and server-side stall
 //!   sweeps (the million-device scale path; see `ARCHITECTURE.md` §8);
-//! * [`shard`] — the sharded ingestion facade: per-install records spread
+//! * [`shard`] — the sharded ingestion store: per-install records spread
 //!   over independently locked shards so batches from different devices
-//!   ingest concurrently (the parallel study driver's direct path);
+//!   ingest concurrently; every collection path folds into it;
 //! * [`columnar`] — the struct-of-arrays projection of the ingest store
 //!   ([`columnar::ColumnarSnapshots`]): dictionary-encoded identifiers and
 //!   contiguous per-field columns for the analyze-side scans

@@ -33,9 +33,9 @@
 //! construction):
 //!
 //! * **Loopback** ([`WireLane::new`]) — the lane owns both transport
-//!   endpoints and pumps the server side inline through a caller-supplied
-//!   handler closure. Fully deterministic, no threads; the original
-//!   synchronous study path.
+//!   endpoints and pumps the server side inline into a shared
+//!   [`CollectionServer`]. Fully deterministic, no threads of its own;
+//!   the synchronous study path.
 //! * **Async** ([`WireLane::new_async`]) — the lane owns only the client
 //!   half of an [`AsyncConn`] from
 //!   [`crate::async_server::AsyncCollectServer::connect`]; replies are
@@ -46,9 +46,11 @@
 
 use crate::async_server::AsyncConn;
 use crate::buffer::{DataBuffer, StageTimers};
+use crate::server::CollectionServer;
 use crate::transport::{splitmix64, FaultPlan, MemTransport, Transport};
 use crate::wire::{self, FrameCodec, Message};
 use racket_types::{FaultCounters, InstallId, ParticipantId};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Salt separating the server endpoint's fault RNG stream from the
@@ -144,9 +146,10 @@ impl RetryStats {
 /// `tests/async_equivalence.rs`.
 enum LaneBackend {
     /// The lane owns both endpoints of an in-memory pair and pumps the
-    /// server side inline through a handler closure (the deterministic,
+    /// server side inline into the shared server (the deterministic,
     /// thread-free study path).
     Loopback {
+        server: Arc<CollectionServer>,
         client: MemTransport,
         server_end: MemTransport,
         server_codec: FrameCodec,
@@ -160,14 +163,12 @@ enum LaneBackend {
 /// One device's protocol session over a fault-injected link.
 ///
 /// With the loopback backend the lane owns both transport endpoints — the
-/// study driver is an in-process simulation, so the "server side" of the
-/// pipe is pumped by a caller-supplied handler closure
-/// (`FnMut(Message) -> Option<Message>`, normally
-/// `|m| server.lock().handle(m)`); replies travel back through the same
-/// fault layer. Both directions get independent seeded fault streams
-/// derived from the lane seed. With the async backend the handler is
-/// unused (the async plane's workers handle messages) and replies are
-/// awaited with escalating deadlines.
+/// study driver is an in-process simulation, so the lane pumps the "server
+/// side" of the pipe itself, handing each decoded message to the shared
+/// [`CollectionServer`]; replies travel back through the same fault
+/// layer. Both directions get independent seeded fault streams derived
+/// from the lane seed. With the async backend the async plane's workers
+/// handle messages and replies are awaited with escalating deadlines.
 pub struct WireLane {
     backend: LaneBackend,
     client_codec: FrameCodec,
@@ -188,21 +189,23 @@ pub struct WireLane {
 }
 
 impl WireLane {
-    /// Create a connected lane. `plan` is installed on both directions
-    /// with independent RNG streams derived from `seed`; pass
-    /// [`FaultPlan::none`] for a clean link.
+    /// Create a lane connected to `server` over a loopback link. `plan` is
+    /// installed on both directions with independent RNG streams derived
+    /// from `seed`; pass [`FaultPlan::none`] for a clean link.
     pub fn new(
         install: InstallId,
         participant: ParticipantId,
         plan: FaultPlan,
         policy: RetryPolicy,
         seed: u64,
+        server: Arc<CollectionServer>,
     ) -> Self {
         let (mut client, mut server_end) = MemTransport::pair();
         client.inject_faults(plan, seed);
         server_end.inject_faults(plan, seed ^ SERVER_FAULT_SALT);
         WireLane {
             backend: LaneBackend::Loopback {
+                server,
                 client,
                 server_end,
                 server_codec: FrameCodec::strict(),
@@ -278,16 +281,13 @@ impl WireLane {
 
     /// Sign in (with retries). Returns the server's verdict, or `None` if
     /// the exchange exhausted its retry budget.
-    pub fn sign_in(
-        &mut self,
-        handler: &mut impl FnMut(Message) -> Option<Message>,
-    ) -> Option<bool> {
+    pub fn sign_in(&mut self) -> Option<bool> {
         let msg = Message::SignIn {
             participant: self.participant,
             install: self.install,
         };
         let encode = |seq: u32, out: &mut Vec<u8>| msg.encode_seq_into(seq, out);
-        match self.request(encode, handler, |m| matches!(m, Message::SignInAck { .. }))? {
+        match self.request(encode, |m| matches!(m, Message::SignInAck { .. }))? {
             Message::SignInAck { accepted } => Some(accepted),
             _ => unreachable!("matcher admits only SignInAck"),
         }
@@ -298,11 +298,7 @@ impl WireLane {
     /// Returns compressed bytes transmitted, retransmissions included.
     /// Files whose retry budget is exhausted stay queued — a later call
     /// (next delivery tick or the final flush) resumes them.
-    pub fn upload_pending(
-        &mut self,
-        buffer: &mut DataBuffer,
-        handler: &mut impl FnMut(Message) -> Option<Message>,
-    ) -> u64 {
+    pub fn upload_pending(&mut self, buffer: &mut DataBuffer) -> u64 {
         let mut bytes = 0u64;
         // Ids only — payloads stay in the buffer's queue and are borrowed
         // in place per transmission, never cloned into an owned message.
@@ -310,7 +306,7 @@ impl WireLane {
         for file_id in ids {
             let len = buffer.file(file_id).map_or(0, |f| f.data.len() as u64);
             let before = self.stats.attempts;
-            let acked = self.upload_file(file_id, buffer, handler);
+            let acked = self.upload_file(file_id, buffer);
             bytes += len * (self.stats.attempts - before);
             if acked {
                 self.stats.files_acked += 1;
@@ -320,12 +316,7 @@ impl WireLane {
     }
 
     /// Upload one file until acknowledged with a matching hash.
-    fn upload_file(
-        &mut self,
-        file_id: u64,
-        buffer: &mut DataBuffer,
-        handler: &mut impl FnMut(Message) -> Option<Message>,
-    ) -> bool {
+    fn upload_file(&mut self, file_id: u64, buffer: &mut DataBuffer) -> bool {
         let install = self.install;
         // Outer loop: hash-mismatch rounds (an ack that fails the content
         // comparison keeps the file queued; §3's retransmission rule).
@@ -342,7 +333,7 @@ impl WireLane {
             let Some(Message::UploadAck {
                 file_id: acked_id,
                 sha256,
-            }) = self.request(encode, handler, want)
+            }) = self.request(encode, want)
             else {
                 return false; // budget exhausted
             };
@@ -367,7 +358,6 @@ impl WireLane {
     fn request(
         &mut self,
         encode: impl Fn(u32, &mut Vec<u8>),
-        handler: &mut impl FnMut(Message) -> Option<Message>,
         matcher: impl Fn(&Message) -> bool,
     ) -> Option<Message> {
         for attempt in 1..=self.policy.max_attempts {
@@ -392,7 +382,7 @@ impl WireLane {
                 self.reconnect();
                 continue;
             }
-            match self.exchange_replies(handler, attempt) {
+            match self.exchange_replies(attempt) {
                 Err(()) => {
                     self.reconnect();
                     continue;
@@ -415,16 +405,12 @@ impl WireLane {
         None
     }
 
-    /// Move the exchange forward after a send: on loopback, pump the
-    /// server side through the handler and drain its replies; on async,
+    /// Move the exchange forward after a send: on loopback, hand the
+    /// decoded messages to the server and drain its replies; on async,
     /// await replies up to a per-attempt escalating deadline. Returns the
     /// decoded replies (possibly none — loss or stall); `Err` means a
     /// poisoned frame stream or a reset link (the caller reconnects).
-    fn exchange_replies(
-        &mut self,
-        handler: &mut impl FnMut(Message) -> Option<Message>,
-        attempt: u32,
-    ) -> Result<Vec<Message>, ()> {
+    fn exchange_replies(&mut self, attempt: u32) -> Result<Vec<Message>, ()> {
         let WireLane {
             backend,
             client_codec,
@@ -434,12 +420,13 @@ impl WireLane {
         let mut msgs = Vec::new();
         match backend {
             LaneBackend::Loopback {
+                server,
                 client,
                 server_end,
                 server_codec,
                 server_seq,
             } => {
-                // Deliver buffered client→server bytes to the handler and
+                // Deliver buffered client→server bytes to the server and
                 // send its replies back through the fault layer.
                 loop {
                     match server_end.try_recv(&mut buf) {
@@ -452,7 +439,7 @@ impl WireLane {
                     match server_codec.try_decode_message() {
                         Ok(None) => break,
                         Ok(Some(msg)) => {
-                            if let Some(reply) = handler(msg) {
+                            if let Some(reply) = server.handle(msg) {
                                 let seq = *server_seq;
                                 *server_seq += 1;
                                 if server_end.send(&reply.encode_seq(seq)).is_err() {
@@ -529,6 +516,7 @@ impl WireLane {
                 server_end,
                 server_codec,
                 server_seq,
+                ..
             } => {
                 self.stats.stale_frames += server_codec.stale_discards();
                 client.purge();
@@ -563,7 +551,7 @@ impl WireLane {
 mod tests {
     use super::*;
     use crate::collector::{CollectorConfig, SnapshotCollector};
-    use crate::server::CollectionServer;
+    use crate::shard::ShardedIngest;
     use racket_device::{Device, DeviceModel};
     use racket_types::{AndroidId, ApkHash, AppId, DeviceId, PermissionProfile, SimTime};
 
@@ -597,14 +585,31 @@ mod tests {
         (buffer, n_snapshots)
     }
 
+    /// A loopback lane on `plan` plus the server and store it feeds.
+    fn start_loopback(
+        plan: FaultPlan,
+        seed: u64,
+    ) -> (Arc<CollectionServer>, Arc<ShardedIngest>, WireLane) {
+        let store = Arc::new(ShardedIngest::new(4));
+        let server = Arc::new(CollectionServer::new([P], Arc::clone(&store)));
+        let lane = WireLane::new(
+            I,
+            P,
+            plan,
+            RetryPolicy::default(),
+            seed,
+            Arc::clone(&server),
+        );
+        (server, store, lane)
+    }
+
     #[test]
     fn clean_lane_uploads_without_retries() {
-        let mut server = CollectionServer::new([P]);
-        let mut lane = WireLane::new(I, P, FaultPlan::none(), RetryPolicy::default(), 1);
-        assert_eq!(lane.sign_in(&mut |m| server.handle(m)), Some(true));
+        let (server, _, mut lane) = start_loopback(FaultPlan::none(), 1);
+        assert_eq!(lane.sign_in(), Some(true));
         let (mut buffer, n_snapshots) = loaded_buffer();
         let n_files = buffer.pending_count() as u64;
-        let bytes = lane.upload_pending(&mut buffer, &mut |m| server.handle(m));
+        let bytes = lane.upload_pending(&mut buffer);
         assert_eq!(buffer.pending_count(), 0);
         assert!(bytes > 0);
         let s = lane.stats();
@@ -619,15 +624,14 @@ mod tests {
 
     #[test]
     fn hostile_lane_delivers_every_snapshot_exactly_once() {
-        let mut server = CollectionServer::new([P]);
-        let mut lane = WireLane::new(I, P, FaultPlan::hostile(), RetryPolicy::default(), 2021);
-        assert_eq!(lane.sign_in(&mut |m| server.handle(m)), Some(true));
+        let (server, store, mut lane) = start_loopback(FaultPlan::hostile(), 2021);
+        assert_eq!(lane.sign_in(), Some(true));
         let (mut buffer, n_snapshots) = loaded_buffer();
         let n_files = buffer.pending_count() as u64;
         // Keep calling until drained (exhausted files resume, like the
         // study's delivery ticks + final flush).
         for _ in 0..10 {
-            lane.upload_pending(&mut buffer, &mut |m| server.handle(m));
+            lane.upload_pending(&mut buffer);
             if buffer.pending_count() == 0 {
                 break;
             }
@@ -640,7 +644,7 @@ mod tests {
         // The recovery guarantee: exactly-once ingestion despite replays.
         assert_eq!(server.stats().snapshots, n_snapshots);
         assert_eq!(server.stats().files, n_files);
-        let rec = server.record(I).expect("record");
+        let rec = store.record(I).expect("record");
         assert_eq!(rec.n_fast + rec.n_slow, n_snapshots);
     }
 
@@ -649,12 +653,11 @@ mod tests {
         // Faults on the ack direction only would be ideal; with the plan
         // on both directions and a fixed seed, drops still hit acks and
         // the server must re-ack replayed files without re-ingesting.
-        let mut server = CollectionServer::new([P]);
-        let mut lane = WireLane::new(I, P, FaultPlan::drops(), RetryPolicy::default(), 7);
-        assert_eq!(lane.sign_in(&mut |m| server.handle(m)), Some(true));
+        let (server, _, mut lane) = start_loopback(FaultPlan::drops(), 7);
+        assert_eq!(lane.sign_in(), Some(true));
         let (mut buffer, n_snapshots) = loaded_buffer();
         for _ in 0..10 {
-            lane.upload_pending(&mut buffer, &mut |m| server.handle(m));
+            lane.upload_pending(&mut buffer);
             if buffer.pending_count() == 0 {
                 break;
             }
@@ -676,14 +679,14 @@ mod tests {
         seed: u64,
     ) -> (
         crate::async_server::AsyncCollectServer,
-        std::sync::Arc<crate::shard::ShardedIngest>,
+        Arc<ShardedIngest>,
         WireLane,
     ) {
         use crate::async_server::{AsyncCollectServer, AsyncServerConfig};
-        let sharded = std::sync::Arc::new(crate::shard::ShardedIngest::new(4));
+        let sharded = Arc::new(ShardedIngest::new(4));
         let srv = AsyncCollectServer::start(
             [P],
-            std::sync::Arc::clone(&sharded),
+            Arc::clone(&sharded),
             AsyncServerConfig {
                 workers: 1,
                 ..AsyncServerConfig::default()
@@ -694,19 +697,14 @@ mod tests {
         (srv, sharded, lane)
     }
 
-    /// The handler is unused on the async backend; the worker replies.
-    fn no_handler(_: Message) -> Option<Message> {
-        unreachable!("async lanes never invoke the loopback handler")
-    }
-
     #[test]
     fn clean_async_lane_delivers_through_the_worker() {
         let (srv, sharded, mut lane) = start_async(FaultPlan::none(), 11);
-        assert_eq!(lane.sign_in(&mut no_handler), Some(true));
+        assert_eq!(lane.sign_in(), Some(true));
         let (mut buffer, n_snapshots) = loaded_buffer();
         let n_files = buffer.pending_count() as u64;
         for _ in 0..10 {
-            lane.upload_pending(&mut buffer, &mut no_handler);
+            lane.upload_pending(&mut buffer);
             if buffer.pending_count() == 0 {
                 break;
             }
@@ -723,11 +721,11 @@ mod tests {
     #[test]
     fn hostile_async_lane_delivers_every_snapshot_exactly_once() {
         let (srv, sharded, mut lane) = start_async(FaultPlan::hostile(), 2021);
-        assert_eq!(lane.sign_in(&mut no_handler), Some(true));
+        assert_eq!(lane.sign_in(), Some(true));
         let (mut buffer, n_snapshots) = loaded_buffer();
         let n_files = buffer.pending_count() as u64;
         for _ in 0..20 {
-            lane.upload_pending(&mut buffer, &mut no_handler);
+            lane.upload_pending(&mut buffer);
             if buffer.pending_count() == 0 {
                 break;
             }
@@ -757,6 +755,7 @@ mod tests {
                 reconnect_after: 4,
             },
             9,
+            Arc::new(CollectionServer::new([P], Arc::new(ShardedIngest::new(1)))),
         );
         assert_eq!(lane.backoff_delay_ms(1), 100);
         assert_eq!(lane.backoff_delay_ms(2), 200);
@@ -768,7 +767,7 @@ mod tests {
     #[test]
     fn backoff_jitter_is_deterministic_per_seed() {
         let delays = |seed: u64| {
-            let mut lane = WireLane::new(I, P, FaultPlan::none(), RetryPolicy::default(), seed);
+            let (_, _, mut lane) = start_loopback(FaultPlan::none(), seed);
             (1..8).map(|n| lane.backoff_delay_ms(n)).collect::<Vec<_>>()
         };
         assert_eq!(delays(5), delays(5));

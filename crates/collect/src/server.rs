@@ -1,24 +1,32 @@
-//! The collection server (the "web app" of Figure 3).
+//! The collection server (the "web app" of Figure 3): the one protocol
+//! core every collection driver feeds.
 //!
 //! Responsibilities, mirroring §3:
 //!
 //! * **Sign-in**: validate the 6-digit participant code — RacketStore
 //!   collects nothing for codes the study never issued;
-//! * **Snapshot ingestion**: for each upload, decompress, parse, fold the
-//!   snapshots into per-install aggregates, and reply with the SHA-256 of
-//!   the received payload so the client can delete its local file;
+//! * **Snapshot ingestion**: for each upload, gate on the install's
+//!   sign-in, hash the received payload, re-acknowledge replays, then
+//!   decompress, parse and fold the snapshots into per-install aggregates,
+//!   replying with the SHA-256 of the payload so the client can delete its
+//!   local file;
 //! * **Aggregation**: the real backend inserted snapshots into MongoDB and
 //!   aggregated at query time; [`InstallRecord`] holds the equivalent
-//!   per-install aggregate the measurement and feature pipelines read.
+//!   per-install aggregate the measurement and feature pipelines read,
+//!   kept in the [`ShardedIngest`] store the server folds into.
 //!
-//! [`CollectionServer::serve_tcp`] runs the protocol threaded over real
-//! TCP connections (one thread per client, shared state behind a
-//! `parking_lot::Mutex`), which the integration tests exercise over
-//! loopback.
+//! [`CollectionServer`] works through `&self`: sign-in sets, upload dedup
+//! tables and stats live in independently locked admission shards keyed
+//! by install, and hashing, decompression and parsing run outside every
+//! shard lock. Three thin drivers call [`CollectionServer::handle`]: the
+//! loopback [`crate::retry::WireLane`], [`CollectionServer::serve_tcp`]
+//! (one thread per TCP connection) and the reactor workers of
+//! [`crate::async_server`].
 
 use crate::collector::SnapshotCollector;
 use crate::hash::sha256;
 use crate::lzss;
+use crate::shard::ShardedIngest;
 use crate::stream::StreamAggregates;
 use crate::wire::{FrameCodec, Message};
 use parking_lot::Mutex;
@@ -26,8 +34,19 @@ use racket_types::{
     AndroidId, AppId, InstallDelta, InstallId, InstalledApp, ParticipantId, RegisteredAccount,
     ReviewEvent, SimTime, Snapshot, TimeInterval,
 };
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
+
+/// Number of admission shards (sign-in sets, dedup tables, stats). Sized
+/// so that even a full worker pool rarely contends on one lock.
+const ADMISSION_SHARDS: usize = 64;
+
+thread_local! {
+    /// Pooled decompression scratch, one per thread: every upload a thread
+    /// handles inflates into this allocation instead of a fresh `Vec`.
+    static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Server-side aggregate for one RacketStore install (one install ID).
 #[derive(Debug, Clone)]
@@ -190,7 +209,8 @@ pub struct ServerStats {
     pub files: u64,
     /// Snapshots ingested.
     pub snapshots: u64,
-    /// Uploads that failed to decompress or parse.
+    /// Uploads rejected with a 400: the payload failed to decompress or
+    /// parse, or it carried snapshots of another install.
     pub bad_uploads: u64,
     /// Replayed uploads re-acknowledged without re-ingesting: the file's
     /// `(install, file_id, sha256)` had already been ingested, so the
@@ -201,8 +221,8 @@ pub struct ServerStats {
 
 impl ServerStats {
     /// Fold another stats block into this one. Every field is a plain
-    /// count, so merging is commutative — the async plane's admission
-    /// shards can fold in any order without changing the totals.
+    /// count, so merging is commutative — the admission shards fold in
+    /// any order without changing the totals.
     pub fn merge(&mut self, other: &ServerStats) {
         self.sign_ins += other.sign_ins;
         self.rejected_sign_ins += other.rejected_sign_ins;
@@ -227,57 +247,82 @@ impl ServerStats {
     }
 }
 
-/// The collection server state.
+/// One admission shard: the sign-in set, the upload dedup table and the
+/// protocol stats for the installs hashing here.
 #[derive(Debug, Default)]
+struct AdmissionShard {
+    signed_in: HashSet<InstallId>,
+    /// `(install, file_id) → sha256` of every ingested file — the dedup
+    /// table that makes upload replays idempotent (PROTOCOL.md §6).
+    ingested: HashMap<InstallId, HashMap<u64, [u8; 32]>>,
+    stats: ServerStats,
+}
+
+impl AdmissionShard {
+    /// Whether this exact file (same id, same content) was ingested before.
+    fn is_replay(&self, install: InstallId, file_id: u64, digest: &[u8; 32]) -> bool {
+        self.ingested
+            .get(&install)
+            .and_then(|files| files.get(&file_id))
+            == Some(digest)
+    }
+}
+
+/// The collection server: participant gating, sharded admission state and
+/// the [`ShardedIngest`] store accepted snapshots fold into.
+///
+/// Lock discipline: hashing, decompression and parsing happen on the
+/// calling thread *outside* every admission-shard lock; a shard lock is
+/// held only for set/map probes, counter bumps and the final fold of an
+/// accepted file, so the dedup check-then-insert is atomic even when two
+/// connections of one install race.
+#[derive(Debug)]
 pub struct CollectionServer {
     /// Participant codes issued at recruitment.
     registered: HashSet<ParticipantId>,
-    /// Installs that have signed in successfully.
-    signed_in: HashSet<InstallId>,
-    /// Content hash of every file already ingested, per install — the
-    /// dedup table that makes upload replays idempotent (PROTOCOL.md §6).
-    ingested_files: HashMap<InstallId, HashMap<u64, [u8; 32]>>,
-    records: HashMap<InstallId, InstallRecord>,
-    stats: ServerStats,
-    /// Pooled decompression scratch: every upload inflates into this one
-    /// allocation instead of a fresh `Vec` per file.
-    scratch: Vec<u8>,
+    shards: Vec<Mutex<AdmissionShard>>,
+    store: Arc<ShardedIngest>,
 }
 
 impl CollectionServer {
-    /// Create a server recognizing the given participant codes.
-    pub fn new(participants: impl IntoIterator<Item = ParticipantId>) -> Self {
+    /// Create a server recognizing the given participant codes; accepted
+    /// snapshots fold into `store` (the caller keeps its own `Arc` and
+    /// drains it once every driver has dropped the server).
+    pub fn new(
+        participants: impl IntoIterator<Item = ParticipantId>,
+        store: Arc<ShardedIngest>,
+    ) -> Self {
         CollectionServer {
             registered: participants.into_iter().collect(),
-            signed_in: HashSet::new(),
-            ingested_files: HashMap::new(),
-            records: HashMap::new(),
-            stats: ServerStats::default(),
-            scratch: Vec::new(),
+            shards: (0..ADMISSION_SHARDS)
+                .map(|_| Mutex::new(AdmissionShard::default()))
+                .collect(),
+            store,
         }
     }
 
-    /// Register one more participant code (late recruitment).
-    pub fn register_participant(&mut self, p: ParticipantId) {
-        self.registered.insert(p);
+    fn shard(&self, install: InstallId) -> &Mutex<AdmissionShard> {
+        &self.shards[install.raw() as usize % self.shards.len()]
     }
 
     /// Handle one protocol message, producing the reply to send (if any).
-    pub fn handle(&mut self, msg: Message) -> Option<Message> {
+    /// Callable from any thread.
+    pub fn handle(&self, msg: Message) -> Option<Message> {
         match msg {
             Message::SignIn {
                 participant,
                 install,
             } => {
                 let accepted = participant.is_valid() && self.registered.contains(&participant);
+                let mut shard = self.shard(install).lock();
                 if accepted {
                     // Idempotent: a retried sign-in (lost ack) for an
                     // already-known install must not double-count.
-                    if self.signed_in.insert(install) {
-                        self.stats.sign_ins += 1;
+                    if shard.signed_in.insert(install) {
+                        shard.stats.sign_ins += 1;
                     }
                 } else {
-                    self.stats.rejected_sign_ins += 1;
+                    shard.stats.rejected_sign_ins += 1;
                 }
                 Some(Message::SignInAck { accepted })
             }
@@ -286,144 +331,97 @@ impl CollectionServer {
                 file_id,
                 fast: _,
                 payload,
-            } => {
-                if !self.signed_in.contains(&install) {
-                    return Some(Message::Error {
-                        code: 401,
-                        detail: "install not signed in".into(),
-                    });
-                }
-                // Hash exactly what was received — if transit corrupted the
-                // payload (and CRC somehow passed), the client's comparison
-                // fails and it retries.
-                let digest = sha256(&payload);
-                // Idempotent ingest: a file whose ack was lost gets
-                // retransmitted by the client; re-acknowledge it without
-                // folding its snapshots in a second time. (A colliding
-                // file_id with *different* content falls through and is
-                // processed as a new upload — client file ids are
-                // monotonic, so this only happens across a reinstall.)
-                if self
-                    .ingested_files
-                    .get(&install)
-                    .and_then(|files| files.get(&file_id))
-                    == Some(&digest)
-                {
-                    self.stats.dup_files += 1;
-                    return Some(Message::UploadAck {
-                        file_id,
-                        sha256: digest,
-                    });
-                }
-                // Decompress into the pooled scratch, then decode the whole
-                // file in one pass — parse once, ingest as a batch.
-                match lzss::decompress_into(&payload, &mut self.scratch)
-                    .map_err(|e| e.to_string())
-                    .and_then(|()| {
-                        SnapshotCollector::deserialize_file(&self.scratch)
-                            .map_err(|e| e.to_string())
-                    }) {
-                    Ok(snapshots) => {
-                        self.ingest_file(&snapshots);
-                        self.stats.files += 1;
-                        self.ingested_files
-                            .entry(install)
-                            .or_default()
-                            .insert(file_id, digest);
-                        Some(Message::UploadAck {
-                            file_id,
-                            sha256: digest,
-                        })
-                    }
-                    Err(detail) => {
-                        self.stats.bad_uploads += 1;
-                        Some(Message::Error { code: 400, detail })
-                    }
-                }
-            }
+            } => Some(self.handle_upload(install, file_id, &payload)),
             // Server ignores acks/errors addressed to clients.
             Message::SignInAck { .. } | Message::UploadAck { .. } | Message::Error { .. } => None,
         }
     }
 
-    /// Fold one snapshot into its install record (direct ingestion path,
-    /// used by the in-process study driver; the wire path converges here).
-    pub fn ingest_snapshot(&mut self, snapshot: &Snapshot) {
-        self.stats.snapshots += 1;
-        let record = self
-            .records
-            .entry(snapshot.install_id())
-            .or_insert_with(|| {
-                InstallRecord::new(
-                    snapshot.install_id(),
-                    snapshot.participant_id(),
-                    snapshot.time(),
-                )
-            });
-        record.ingest(snapshot);
-    }
-
-    /// Fold one decoded upload file's snapshots in as a batch. Snapshots
-    /// in a rotated accumulation file come from a single install, so runs
-    /// sharing an install id are folded through one record lookup instead
-    /// of a map probe per snapshot (mixed files still ingest correctly —
-    /// each run resolves its own record).
-    fn ingest_file(&mut self, snapshots: &[Snapshot]) {
-        let mut i = 0;
-        while i < snapshots.len() {
-            let install = snapshots[i].install_id();
-            let record = self.records.entry(install).or_insert_with(|| {
-                InstallRecord::new(install, snapshots[i].participant_id(), snapshots[i].time())
-            });
-            let mut j = i;
-            while j < snapshots.len() && snapshots[j].install_id() == install {
-                record.ingest(&snapshots[j]);
-                j += 1;
+    fn handle_upload(&self, install: InstallId, file_id: u64, payload: &[u8]) -> Message {
+        // Hash exactly what was received — if transit corrupted the
+        // payload (and CRC somehow passed), the client's comparison fails
+        // and it retries.
+        let digest = sha256(payload);
+        let ack = Message::UploadAck {
+            file_id,
+            sha256: digest,
+        };
+        {
+            let mut shard = self.shard(install).lock();
+            if !shard.signed_in.contains(&install) {
+                return Message::Error {
+                    code: 401,
+                    detail: "install not signed in".into(),
+                };
             }
-            self.stats.snapshots += (j - i) as u64;
-            i = j;
+            // Idempotent ingest: a file whose ack was lost gets
+            // retransmitted; re-acknowledge it without folding its
+            // snapshots in a second time. (A colliding file_id with
+            // *different* content is processed as a new upload — client
+            // file ids are monotonic, so this only happens across a
+            // reinstall.)
+            if shard.is_replay(install, file_id, &digest) {
+                shard.stats.dup_files += 1;
+                return ack;
+            }
         }
+        // Decompress + parse outside the lock, then check that the file
+        // only speaks for the install that uploaded it: a signed-in
+        // install must not write into another install's record.
+        let decoded = SCRATCH.with(|scratch| {
+            let scratch = &mut *scratch.borrow_mut();
+            lzss::decompress_into(payload, scratch).map_err(|e| e.to_string())?;
+            let snapshots =
+                SnapshotCollector::deserialize_file(scratch).map_err(|e| e.to_string())?;
+            if snapshots.iter().any(|s| s.install_id() != install) {
+                return Err("snapshot of another install".to_string());
+            }
+            Ok(snapshots)
+        });
+        let mut shard = self.shard(install).lock();
+        let snapshots = match decoded {
+            Ok(snapshots) => snapshots,
+            Err(detail) => {
+                shard.stats.bad_uploads += 1;
+                return Message::Error { code: 400, detail };
+            }
+        };
+        if shard.is_replay(install, file_id, &digest) {
+            // Another connection of this install ingested the same file
+            // while this one was parsing.
+            shard.stats.dup_files += 1;
+            return ack;
+        }
+        self.store.ingest_batch(&snapshots);
+        shard.stats.files += 1;
+        shard
+            .ingested
+            .entry(install)
+            .or_default()
+            .insert(file_id, digest);
+        ack
     }
 
-    /// Adopt a fully aggregated record (from a [`crate::shard::ShardedIngest`]
-    /// drain). Replaces any record previously held for the same install.
-    pub fn adopt_record(&mut self, record: InstallRecord) {
-        self.records.insert(record.install_id, record);
-    }
-
-    /// Add externally ingested snapshots to the stats counter (the sharded
-    /// direct path counts its own ingests; this folds them back in).
-    pub fn add_ingested_snapshots(&mut self, n: u64) {
-        self.stats.snapshots += n;
-    }
-
-    /// Fold externally accumulated protocol stats into this server's —
-    /// the convergence point for the async plane, whose admission shards
-    /// count sign-ins, files, dedups and bad uploads on worker threads.
-    pub fn absorb_stats(&mut self, other: &ServerStats) {
-        self.stats.merge(other);
-    }
-
-    /// All install records.
-    pub fn records(&self) -> impl Iterator<Item = &InstallRecord> {
-        self.records.values()
-    }
-
-    /// One install's record.
-    pub fn record(&self, install: InstallId) -> Option<&InstallRecord> {
-        self.records.get(&install)
-    }
-
-    /// Ingestion statistics.
+    /// Ingestion statistics: the admission shards' protocol counts plus
+    /// the snapshots held by the store (which also counts snapshots
+    /// ingested into it directly, bypassing the protocol).
     pub fn stats(&self) -> ServerStats {
-        self.stats
+        let mut stats = ServerStats {
+            snapshots: self.store.snapshots_ingested(),
+            ..ServerStats::default()
+        };
+        for shard in &self.shards {
+            stats.merge(&shard.lock().stats);
+        }
+        stats
     }
 
     /// Serve the wire protocol on a TCP listener until the listener errors
     /// or `max_connections` clients have been handled (tests bound this;
-    /// pass `usize::MAX` to serve forever). One thread per connection.
+    /// pass `usize::MAX` to serve forever). One thread per connection,
+    /// all sharing the one server.
     pub fn serve_tcp(
-        server: Arc<Mutex<CollectionServer>>,
+        server: Arc<CollectionServer>,
         listener: std::net::TcpListener,
         max_connections: usize,
     ) -> std::io::Result<()> {
@@ -436,8 +434,7 @@ impl CollectionServer {
                 let mut codec = FrameCodec::new();
                 while let Ok(Some(msg)) = crate::transport::recv_message(&mut transport, &mut codec)
                 {
-                    let reply = server.lock().handle(msg);
-                    if let Some(reply) = reply {
+                    if let Some(reply) = server.handle(msg) {
                         use crate::transport::Transport;
                         if transport.send(&reply.encode()).is_err() {
                             break;
@@ -461,13 +458,41 @@ mod tests {
     const P: ParticipantId = ParticipantId(123_456);
     const I: InstallId = InstallId(1_000_000_000);
 
-    fn server() -> CollectionServer {
-        CollectionServer::new([P])
+    fn server() -> (CollectionServer, Arc<ShardedIngest>) {
+        let store = Arc::new(ShardedIngest::new(4));
+        (CollectionServer::new([P], Arc::clone(&store)), store)
     }
 
-    fn fast_with_install(t: u64, app: u32, installed_at: u64) -> Snapshot {
+    fn signed_in() -> (CollectionServer, Arc<ShardedIngest>) {
+        let (s, store) = server();
+        s.handle(Message::SignIn {
+            participant: P,
+            install: I,
+        });
+        (s, store)
+    }
+
+    /// One compressed upload file holding `snaps`.
+    fn file(snaps: &[Snapshot]) -> Vec<u8> {
+        let mut raw = Vec::new();
+        for snap in snaps {
+            raw.extend_from_slice(&SnapshotCollector::serialize(snap));
+        }
+        lzss::compress(&raw)
+    }
+
+    fn upload(file_id: u64, payload: Vec<u8>) -> Message {
+        Message::SnapshotUpload {
+            install: I,
+            file_id,
+            fast: true,
+            payload,
+        }
+    }
+
+    fn fast_of(install: InstallId, t: u64, app: u32, installed_at: u64) -> Snapshot {
         Snapshot::Fast(FastSnapshot {
-            install_id: I,
+            install_id: install,
             participant_id: P,
             time: SimTime::from_secs(t),
             foreground_app: Some(AppId(app)),
@@ -482,9 +507,22 @@ mod tests {
         })
     }
 
+    fn fast_with_install(t: u64, app: u32, installed_at: u64) -> Snapshot {
+        fast_of(I, t, app, installed_at)
+    }
+
+    /// Fold snapshots straight into a fresh store and return `I`'s record.
+    fn ingested(snaps: &[Snapshot]) -> InstallRecord {
+        let store = ShardedIngest::new(1);
+        for snap in snaps {
+            store.ingest(snap);
+        }
+        store.record(I).expect("record")
+    }
+
     #[test]
     fn sign_in_gating() {
-        let mut s = server();
+        let (s, _) = server();
         let ok = s.handle(Message::SignIn {
             participant: P,
             install: I,
@@ -501,42 +539,20 @@ mod tests {
 
     #[test]
     fn upload_requires_sign_in() {
-        let mut s = server();
-        let reply = s.handle(Message::SnapshotUpload {
-            install: I,
-            file_id: 1,
-            fast: true,
-            payload: vec![],
-        });
+        let (s, _) = server();
+        let reply = s.handle(upload(1, vec![]));
         assert!(matches!(reply, Some(Message::Error { code: 401, .. })));
     }
 
     #[test]
     fn upload_round_trip_acks_hash_and_ingests() {
-        let mut s = server();
-        s.handle(Message::SignIn {
-            participant: P,
-            install: I,
-        });
-        // Build a compressed file of two snapshots.
-        let snaps = vec![
+        let (s, store) = signed_in();
+        let payload = file(&[
             fast_with_install(100, 1, 50),
             fast_with_install(105, 2, 104),
-        ];
-        let mut raw = Vec::new();
-        for snap in &snaps {
-            raw.extend_from_slice(&SnapshotCollector::serialize(snap));
-        }
-        let payload = lzss::compress(&raw);
+        ]);
         let expected_hash = sha256(&payload);
-        let reply = s
-            .handle(Message::SnapshotUpload {
-                install: I,
-                file_id: 9,
-                fast: true,
-                payload,
-            })
-            .unwrap();
+        let reply = s.handle(upload(9, payload)).unwrap();
         assert_eq!(
             reply,
             Message::UploadAck {
@@ -544,7 +560,7 @@ mod tests {
                 sha256: expected_hash
             }
         );
-        let rec = s.record(I).unwrap();
+        let rec = store.record(I).unwrap();
         assert_eq!(rec.n_fast, 2);
         assert_eq!(rec.apps.len(), 2);
         assert!(rec.installed_now.contains(&AppId(1)));
@@ -553,30 +569,16 @@ mod tests {
 
     #[test]
     fn replayed_upload_is_deduped_and_reacked() {
-        let mut s = server();
-        s.handle(Message::SignIn {
-            participant: P,
-            install: I,
-        });
-        let mut raw = Vec::new();
-        raw.extend_from_slice(&SnapshotCollector::serialize(&fast_with_install(
-            100, 1, 50,
-        )));
-        let payload = lzss::compress(&raw);
-        let upload = Message::SnapshotUpload {
-            install: I,
-            file_id: 3,
-            fast: true,
-            payload,
-        };
-        let first = s.handle(upload.clone()).unwrap();
+        let (s, store) = signed_in();
+        let msg = upload(3, file(&[fast_with_install(100, 1, 50)]));
+        let first = s.handle(msg.clone()).unwrap();
         // Replay (the ack was "lost"): identical ack, nothing re-ingested.
-        let second = s.handle(upload).unwrap();
+        let second = s.handle(msg).unwrap();
         assert_eq!(first, second);
         assert_eq!(s.stats().snapshots, 1, "snapshot counted once");
         assert_eq!(s.stats().files, 1, "file counted once");
         assert_eq!(s.stats().dup_files, 1);
-        assert_eq!(s.record(I).unwrap().n_fast, 1);
+        assert_eq!(store.record(I).unwrap().n_fast, 1);
     }
 
     #[test]
@@ -585,39 +587,30 @@ mod tests {
         // upload chunk walks the same server batch path as the original,
         // and every per-install counter *and* streaming aggregate must
         // fold once — never per delivery attempt.
-        let mut s = server();
-        s.handle(Message::SignIn {
-            participant: P,
-            install: I,
-        });
-        let mut raw = Vec::new();
+        let (s, store) = signed_in();
         // t=0 creates the record (first_seen = 0), so installed_at = 5 is
         // a monitored install event; the t=60 snapshot uninstalls it.
-        raw.extend_from_slice(&SnapshotCollector::serialize(&fast_with_install(0, 7, 5)));
-        raw.extend_from_slice(&SnapshotCollector::serialize(&Snapshot::Fast(
-            FastSnapshot {
-                install_id: I,
-                participant_id: P,
-                time: SimTime::from_secs(60),
-                foreground_app: Some(AppId(7)),
-                screen_on: true,
-                battery_pct: 79,
-                install_events: vec![InstallDelta::Uninstalled { app: AppId(7) }],
-            },
-        )));
-        let payload = lzss::compress(&raw);
-        let upload = Message::SnapshotUpload {
-            install: I,
-            file_id: 9,
-            fast: true,
-            payload,
-        };
-        s.handle(upload.clone()).unwrap();
-        let once = s.record(I).unwrap().clone();
+        let msg = upload(
+            9,
+            file(&[
+                fast_with_install(0, 7, 5),
+                Snapshot::Fast(FastSnapshot {
+                    install_id: I,
+                    participant_id: P,
+                    time: SimTime::from_secs(60),
+                    foreground_app: Some(AppId(7)),
+                    screen_on: true,
+                    battery_pct: 79,
+                    install_events: vec![InstallDelta::Uninstalled { app: AppId(7) }],
+                }),
+            ]),
+        );
+        s.handle(msg.clone()).unwrap();
+        let once = store.record(I).unwrap();
         for _ in 0..3 {
-            s.handle(upload.clone()).unwrap();
+            s.handle(msg.clone()).unwrap();
         }
-        let rec = s.record(I).unwrap();
+        let rec = store.record(I).unwrap();
         assert_eq!(s.stats().snapshots, 2, "snapshots counted once");
         assert_eq!(s.stats().dup_files, 3);
         assert_eq!(rec.n_fast, once.n_fast);
@@ -634,22 +627,44 @@ mod tests {
     }
 
     #[test]
+    fn snapshots_of_another_install_are_rejected() {
+        // A signed-in install must not write into another install's
+        // record: a file carrying any foreign snapshot is a 400, folds
+        // nothing and leaves the dedup table untouched.
+        let (s, store) = signed_in();
+        let other = InstallId(1_000_000_001);
+        let forged = file(&[fast_with_install(100, 1, 50), fast_of(other, 101, 2, 90)]);
+        let reply = s.handle(upload(4, forged)).unwrap();
+        assert!(matches!(reply, Message::Error { code: 400, .. }));
+        assert_eq!(s.stats().bad_uploads, 1);
+        assert_eq!(s.stats().files, 0);
+        assert_eq!(store.snapshots_ingested(), 0);
+        assert!(store.record(I).is_none() && store.record(other).is_none());
+        // The same file id with the install's own data is a fresh upload.
+        let reply = s
+            .handle(upload(4, file(&[fast_with_install(100, 1, 50)])))
+            .unwrap();
+        assert!(matches!(reply, Message::UploadAck { file_id: 4, .. }));
+        assert_eq!((s.stats().files, s.stats().dup_files), (1, 0));
+    }
+
+    #[test]
     fn stream_state_mirrors_batch_event_vectors() {
         // The stream aggregate is folded at the same program points as the
         // batch-visible vectors, so counts must agree by construction.
-        let mut s = server();
-        s.ingest_snapshot(&fast_with_install(0, 1, 0));
-        s.ingest_snapshot(&fast_with_install(86_400, 2, 86_400));
-        s.ingest_snapshot(&Snapshot::Fast(FastSnapshot {
-            install_id: I,
-            participant_id: P,
-            time: SimTime::from_secs(90_000),
-            foreground_app: None,
-            screen_on: false,
-            battery_pct: 50,
-            install_events: vec![InstallDelta::Uninstalled { app: AppId(1) }],
-        }));
-        let rec = s.record(I).unwrap();
+        let rec = ingested(&[
+            fast_with_install(0, 1, 0),
+            fast_with_install(86_400, 2, 86_400),
+            Snapshot::Fast(FastSnapshot {
+                install_id: I,
+                participant_id: P,
+                time: SimTime::from_secs(90_000),
+                foreground_app: None,
+                screen_on: false,
+                battery_pct: 50,
+                install_events: vec![InstallDelta::Uninstalled { app: AppId(1) }],
+            }),
+        ]);
         assert_eq!(
             rec.stream.n_install_events as usize,
             rec.install_events.len()
@@ -686,7 +701,7 @@ mod tests {
 
     #[test]
     fn repeated_sign_in_is_idempotent() {
-        let mut s = server();
+        let (s, _) = server();
         for _ in 0..3 {
             let reply = s.handle(Message::SignIn {
                 participant: P,
@@ -699,28 +714,20 @@ mod tests {
 
     #[test]
     fn malformed_upload_rejected() {
-        let mut s = server();
-        s.handle(Message::SignIn {
-            participant: P,
-            install: I,
-        });
-        let reply = s.handle(Message::SnapshotUpload {
-            install: I,
-            file_id: 1,
-            fast: true,
-            payload: vec![0b0000_0001, 0x01], // truncated LZSS reference
-        });
+        let (s, _) = signed_in();
+        // Truncated LZSS reference.
+        let reply = s.handle(upload(1, vec![0b0000_0001, 0x01]));
         assert!(matches!(reply, Some(Message::Error { code: 400, .. })));
         assert_eq!(s.stats().bad_uploads, 1);
     }
 
     #[test]
     fn record_aggregates_days_and_foreground() {
-        let mut s = server();
-        s.ingest_snapshot(&fast_with_install(0, 1, 0));
-        s.ingest_snapshot(&fast_with_install(5, 1, 0));
-        s.ingest_snapshot(&fast_with_install(86_400 + 5, 1, 0));
-        let rec = s.record(I).unwrap();
+        let rec = ingested(&[
+            fast_with_install(0, 1, 0),
+            fast_with_install(5, 1, 0),
+            fast_with_install(86_400 + 5, 1, 0),
+        ]);
         assert_eq!(rec.active_days(), 2);
         assert_eq!(rec.avg_snapshots_per_day(), 1.5);
         let fg: u64 = rec.foreground[&AppId(1)].values().sum();
@@ -729,18 +736,18 @@ mod tests {
 
     #[test]
     fn uninstall_event_tracked() {
-        let mut s = server();
-        s.ingest_snapshot(&fast_with_install(10, 1, 5));
-        s.ingest_snapshot(&Snapshot::Fast(FastSnapshot {
-            install_id: I,
-            participant_id: P,
-            time: SimTime::from_secs(20),
-            foreground_app: None,
-            screen_on: false,
-            battery_pct: 80,
-            install_events: vec![InstallDelta::Uninstalled { app: AppId(1) }],
-        }));
-        let rec = s.record(I).unwrap();
+        let rec = ingested(&[
+            fast_with_install(10, 1, 5),
+            Snapshot::Fast(FastSnapshot {
+                install_id: I,
+                participant_id: P,
+                time: SimTime::from_secs(20),
+                foreground_app: None,
+                screen_on: false,
+                battery_pct: 80,
+                install_events: vec![InstallDelta::Uninstalled { app: AppId(1) }],
+            }),
+        ]);
         assert_eq!(rec.uninstall_events.len(), 1);
         assert!(!rec.installed_now.contains(&AppId(1)));
         assert!(
@@ -751,8 +758,7 @@ mod tests {
 
     #[test]
     fn slow_snapshot_updates_accounts_and_android_id() {
-        let mut s = server();
-        s.ingest_snapshot(&Snapshot::Slow(SlowSnapshot {
+        let rec = ingested(&[Snapshot::Slow(SlowSnapshot {
             install_id: I,
             participant_id: P,
             android_id: Some(AndroidId(77)),
@@ -764,8 +770,7 @@ mod tests {
             save_mode: false,
             stopped_apps: vec![AppId(3)],
             review_events: vec![],
-        }));
-        let rec = s.record(I).unwrap();
+        })]);
         assert_eq!(rec.android_id, Some(AndroidId(77)));
         assert_eq!(rec.accounts.len(), 1);
         assert_eq!(rec.stopped_apps, vec![AppId(3)]);
@@ -791,9 +796,7 @@ mod tests {
             stopped_apps: vec![],
             review_events: vec![review.clone()],
         });
-        let mut s = server();
-        s.ingest_snapshot(&slow);
-        let rec = s.record(I).unwrap();
+        let rec = ingested(std::slice::from_ref(&slow));
         assert_eq!(rec.review_events, vec![review]);
         assert_eq!(rec.stream.text().n_reviews(), 1);
         let row = rec.stream.text().rows().next().unwrap();
@@ -802,40 +805,29 @@ mod tests {
 
         // The replay path (idempotent file dedup) never re-folds text —
         // same mechanism as the campaign sketch, exercised via upload.
-        let mut s = server();
-        s.handle(Message::SignIn {
-            participant: P,
-            install: I,
-        });
-        let mut raw = Vec::new();
-        raw.extend_from_slice(&SnapshotCollector::serialize(&slow));
-        let payload = lzss::compress(&raw);
-        let upload = Message::SnapshotUpload {
-            install: I,
-            file_id: 1,
-            fast: true,
-            payload,
-        };
-        s.handle(upload.clone()).unwrap();
-        let once = s.record(I).unwrap().clone();
-        s.handle(upload).unwrap();
-        let rec = s.record(I).unwrap();
+        let (s, store) = signed_in();
+        let msg = upload(1, file(&[slow]));
+        s.handle(msg.clone()).unwrap();
+        let once = store.record(I).unwrap();
+        s.handle(msg).unwrap();
+        let rec = store.record(I).unwrap();
         assert_eq!(rec.review_events, once.review_events);
         assert_eq!(rec.stream.text(), once.stream.text());
     }
 
     #[test]
     fn preexisting_apps_not_counted_as_install_events() {
-        let mut s = server();
         // Monitoring starts at t = 100; the app was installed at t = 50.
-        s.ingest_snapshot(&fast_with_install(100, 1, 50));
-        let rec = s.record(I).unwrap();
+        let rec = ingested(&[fast_with_install(100, 1, 50)]);
         assert!(
             rec.install_events.is_empty(),
             "old install is baseline, not event"
         );
         // An app installed during monitoring is an event.
-        s.ingest_snapshot(&fast_with_install(200, 2, 150));
-        assert_eq!(s.record(I).unwrap().install_events.len(), 1);
+        let rec = ingested(&[
+            fast_with_install(100, 1, 50),
+            fast_with_install(200, 2, 150),
+        ]);
+        assert_eq!(rec.install_events.len(), 1);
     }
 }

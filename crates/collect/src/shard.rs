@@ -18,15 +18,16 @@
 //! [`ShardedIngest::into_records`] returns records sorted by install ID to
 //! give downstream consumers a canonical order.
 
-use crate::server::{CollectionServer, InstallRecord};
+use crate::server::InstallRecord;
 use parking_lot::Mutex;
 use racket_types::{InstallId, Snapshot};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Concurrently usable snapshot store: per-install aggregates spread over
-/// independently locked shards. The facade the parallel study driver
-/// ingests through on the in-process (direct) collection path.
+/// independently locked shards. The one convergence point of every
+/// collection path: the parallel study driver's direct lanes ingest into
+/// it, and [`crate::CollectionServer`] folds every accepted upload into it.
 #[derive(Debug)]
 pub struct ShardedIngest {
     shards: Vec<Mutex<HashMap<InstallId, InstallRecord>>>,
@@ -62,46 +63,38 @@ impl ShardedIngest {
 
     /// Ingest one snapshot (callable from any thread).
     pub fn ingest(&self, snapshot: &Snapshot) {
-        self.snapshots.fetch_add(1, Ordering::Relaxed);
-        let shard = &self.shards[self.shard_of(snapshot.install_id())];
-        let mut map = shard.lock();
-        map.entry(snapshot.install_id())
-            .or_insert_with(|| {
-                InstallRecord::new(
-                    snapshot.install_id(),
-                    snapshot.participant_id(),
-                    snapshot.time(),
-                )
-            })
-            .ingest(snapshot);
+        self.ingest_batch(std::slice::from_ref(snapshot));
     }
 
-    /// Ingest a batch of snapshots from one device: the shard lock is taken
-    /// once for the whole batch.
+    /// Ingest a batch of snapshots from one install: the shard lock is
+    /// taken, and the install's record looked up, once for the whole batch.
     pub fn ingest_batch(&self, snapshots: &[Snapshot]) {
         let Some(first) = snapshots.first() else {
             return;
         };
+        let install = first.install_id();
+        debug_assert!(
+            snapshots.iter().all(|s| s.install_id() == install),
+            "a batch must come from one install"
+        );
         self.snapshots
             .fetch_add(snapshots.len() as u64, Ordering::Relaxed);
-        let shard = &self.shards[self.shard_of(first.install_id())];
-        let mut map = shard.lock();
+        let mut map = self.shards[self.shard_of(install)].lock();
+        let record = map
+            .entry(install)
+            .or_insert_with(|| InstallRecord::new(install, first.participant_id(), first.time()));
         for snapshot in snapshots {
-            debug_assert_eq!(
-                snapshot.install_id(),
-                first.install_id(),
-                "a batch must come from one device"
-            );
-            map.entry(snapshot.install_id())
-                .or_insert_with(|| {
-                    InstallRecord::new(
-                        snapshot.install_id(),
-                        snapshot.participant_id(),
-                        snapshot.time(),
-                    )
-                })
-                .ingest(snapshot);
+            record.ingest(snapshot);
         }
+    }
+
+    /// A copy of one install's record, if any of its snapshots was
+    /// ingested.
+    pub fn record(&self, install: InstallId) -> Option<InstallRecord> {
+        self.shards[self.shard_of(install)]
+            .lock()
+            .get(&install)
+            .cloned()
     }
 
     /// Snapshots ingested so far.
@@ -136,17 +129,6 @@ impl ShardedIngest {
             .collect();
         records.sort_by_key(|r| r.install_id);
         records
-    }
-
-    /// Drain the store into a [`CollectionServer`], folding every record
-    /// and the snapshot count into the server's table and stats — the
-    /// convergence point of the sharded direct path and the wire path.
-    pub fn merge_into(self, server: &mut CollectionServer) {
-        let snapshots = self.snapshots_ingested();
-        for record in self.into_records() {
-            server.adopt_record(record);
-        }
-        server.add_ingested_snapshots(snapshots);
     }
 }
 
@@ -215,17 +197,5 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run("1"), run("8"));
-    }
-
-    #[test]
-    fn merge_into_server_carries_stats() {
-        let ingest = ShardedIngest::new(2);
-        ingest.ingest(&snap(1_000_000_001, 5));
-        ingest.ingest(&snap(1_000_000_002, 6));
-        let mut server = CollectionServer::new([ParticipantId(123_456)]);
-        ingest.merge_into(&mut server);
-        assert_eq!(server.stats().snapshots, 2);
-        assert_eq!(server.records().count(), 2);
-        assert!(server.record(InstallId(1_000_000_001)).is_some());
     }
 }

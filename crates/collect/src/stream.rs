@@ -8,7 +8,7 @@
 //! statistics inside `InstallRecord::ingest`, at the exact
 //! program points where the batch-visible vectors are appended — so the
 //! aggregate is equal to the batch scan **by construction**, rides every
-//! transport of the record (sharded ingest, `adopt_record`, clones), and
+//! transport of the record (sharded ingest, clones), and
 //! inherits the server's idempotent-ingest guarantee: a deduplicated
 //! upload replay never reaches `ingest`, so it can never double-fold.
 //!

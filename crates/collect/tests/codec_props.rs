@@ -2,11 +2,12 @@
 //!
 //! * The binary snapshot codec must round-trip *every* representable
 //!   snapshot and agree with the serde model it replaced (the same struct
-//!   encoded as legacy JSON lines must decode to the same value).
+//!   encoded as JSON lines must parse, through `serde_json`, to the same
+//!   value).
 //! * A reused LZSS workspace must be a pure optimization: its output is
 //!   byte-for-byte the output of a fresh compressor.
-//! * `deserialize_file` must reject truncated or corrupted input — both
-//!   binary and legacy JSON — with an error, never a panic.
+//! * `deserialize_file` must reject truncated, corrupted or non-binary
+//!   input with an error, never a panic.
 
 use proptest::prelude::*;
 use racket_collect::collector::SnapshotCollector;
@@ -174,8 +175,9 @@ proptest! {
     }
 
     /// The binary codec agrees with the serde data model it replaced: the
-    /// same snapshots shipped as legacy JSON lines decode to the same
-    /// values as the binary encoding.
+    /// same snapshots written as JSON lines parse to the same values as
+    /// the binary encoding decodes to. Upload files are binary-only, so
+    /// the JSON-lines file itself is rejected.
     #[test]
     fn binary_codec_agrees_with_serde_baseline(
         snaps in proptest::collection::vec(snapshot(), 1..8)
@@ -188,8 +190,13 @@ proptest! {
             json.push(b'\n');
         }
         let from_binary = SnapshotCollector::deserialize_file(&binary).expect("binary");
-        let from_json = SnapshotCollector::deserialize_file(&json).expect("legacy json");
+        let from_json: Vec<Snapshot> = json
+            .split(|&b| b == b'\n')
+            .filter(|line| !line.is_empty())
+            .map(|line| serde_json::from_slice(line).expect("serde decode"))
+            .collect();
         prop_assert_eq!(from_binary, from_json);
+        prop_assert!(SnapshotCollector::deserialize_file(&json).is_err());
     }
 
     /// Workspace reuse is invisible in the output: compressing through a
@@ -280,8 +287,9 @@ proptest! {
         }
     }
 
-    /// Arbitrary garbage — random bytes under either format sniff — must
-    /// decode to `Ok` (if it happens to be valid) or `Err`, never panic.
+    /// Arbitrary garbage — with or without the binary record tag in front —
+    /// must decode to `Ok` (if it happens to be valid) or `Err`, never
+    /// panic.
     #[test]
     fn garbage_input_never_panics(data in proptest::collection::vec(any::<u8>(), 0..512)) {
         let _ = SnapshotCollector::deserialize_file(&data);
@@ -289,9 +297,5 @@ proptest! {
         let mut tagged = vec![racket_collect::codec::TAG_BINARY_V1];
         tagged.extend_from_slice(&data);
         let _ = SnapshotCollector::deserialize_file(&tagged);
-        // And the legacy JSON path.
-        let mut json = vec![b'{'];
-        json.extend_from_slice(&data);
-        let _ = SnapshotCollector::deserialize_file(&json);
     }
 }

@@ -4,10 +4,11 @@
 //! The simulate→collect→assemble pipeline is parallel end to end (see
 //! ARCHITECTURE.md): devices run as independent *lanes*, each with its own
 //! driver RNG stream, snapshot collector and upload buffer. Cross-lane
-//! state is either sharded ([`racket_collect::ShardedIngest`] on the
-//! direct path), commutative (server stats counters), or merged serially
-//! in lane order (review posts) — so the output is a pure function of the
-//! configuration, never of the worker-thread count.
+//! state is either sharded (the one [`racket_collect::ShardedIngest`]
+//! every collection path folds into, and the collection server's
+//! admission shards), commutative (server stats counters), or merged
+//! serially in lane order (review posts) — so the output is a pure
+//! function of the configuration, never of the worker-thread count.
 
 use racket_agents::{
     apply_action_collecting, expand_directives, stream_seed, Action, Fleet, FleetConfig,
@@ -17,8 +18,8 @@ use racket_campaign::{detect_with_text, CampaignReport, CampaignSketch, Detector
 use racket_collect::wire::Message;
 use racket_collect::{
     coalesce_installs, AsyncCollectServer, AsyncServerConfig, CandidateInstall, CollectionServer,
-    CollectorConfig, ColumnarSnapshots, DataBuffer, FaultPlan, InstallRecord, RetryPolicy,
-    ShardedIngest, SnapshotBatch, SnapshotCollector, WireLane,
+    CollectorConfig, ColumnarSnapshots, DataBuffer, FaultPlan, RetryPolicy, ShardedIngest,
+    SnapshotBatch, SnapshotCollector, WireLane,
 };
 use racket_features::{DeviceObservation, DeviceStreamState};
 use racket_obs::{span, LocalHistogram, Registry};
@@ -248,29 +249,23 @@ impl Study {
         };
 
         let simulate_span = obs.span(keys::SPAN_SIMULATE);
-        let mut server = CollectionServer::new(fleet.devices.iter().map(|d| d.participant));
+        // One store for every path: direct lanes ingest into it, and the
+        // collection server (sync wire lanes call it inline, the async
+        // plane's workers call theirs) folds every accepted upload into it.
+        let store = Arc::new(ShardedIngest::for_current_threads());
+        let participants = || fleet.devices.iter().map(|d| d.participant);
+        let server = Arc::new(CollectionServer::new(participants(), Arc::clone(&store)));
         let mut crawler = ReviewCrawler::new();
-        let sharded = match config.path {
-            CollectionPath::Direct => Some(ShardedIngest::for_current_threads()),
-            CollectionPath::Wire | CollectionPath::AsyncWire => None,
-        };
-        // Async plane: the reactor server owns its own sharded store (its
-        // workers ingest into it concurrently); both drain back into the
-        // aggregation server at shutdown. The worker count never shows in
-        // the data output (ARCHITECTURE.md §8's equivalence contract), so
-        // the default topology is always safe here.
-        let async_plane = match config.path {
-            CollectionPath::AsyncWire => {
-                let store = Arc::new(ShardedIngest::for_current_threads());
-                let srv = AsyncCollectServer::start(
-                    fleet.devices.iter().map(|d| d.participant),
-                    Arc::clone(&store),
-                    AsyncServerConfig::default(),
-                );
-                Some((srv, store))
-            }
-            CollectionPath::Direct | CollectionPath::Wire => None,
-        };
+        // The worker count never shows in the data output
+        // (ARCHITECTURE.md §8's equivalence contract), so the default
+        // topology is always safe here.
+        let async_plane = (config.path == CollectionPath::AsyncWire).then(|| {
+            AsyncCollectServer::start(
+                participants(),
+                Arc::clone(&store),
+                AsyncServerConfig::default(),
+            )
+        });
 
         // Sign in + per-device lane state. Sign-ins are serial (one frame
         // per device); the simulation loop below is where the time goes.
@@ -309,13 +304,14 @@ impl Study {
                         config.faults,
                         RetryPolicy::default(),
                         lane_seed,
+                        Arc::clone(&server),
                     )),
                     // Same per-lane fault stream as the sync path: the
                     // connection's two fault injectors are seeded exactly
                     // as a loopback lane's would be, so a chaos plan
                     // perturbs both paths identically.
                     CollectionPath::AsyncWire => {
-                        let (srv, _) = async_plane.as_ref().expect("async plane is running");
+                        let srv = async_plane.as_ref().expect("async plane is running");
                         Some(WireLane::new_async(
                             d.install_id,
                             d.participant,
@@ -358,9 +354,7 @@ impl Study {
             for lane in &mut lanes {
                 match &mut lane.wire {
                     Some(wire) => {
-                        let accepted = wire
-                            .sign_in(&mut |m| server.handle(m))
-                            .expect("sign-in retry budget exhausted");
+                        let accepted = wire.sign_in().expect("sign-in retry budget exhausted");
                         assert!(accepted, "study participants are registered");
                     }
                     None => {
@@ -375,7 +369,6 @@ impl Study {
 
         // ---- main loop: one study day at a time, all device lanes in ------
         // ---- parallel, reviews merged serially in lane order --------------
-        let server = parking_lot::Mutex::new(server);
         let study_start = config.fleet.study_start();
         let horizon = config.fleet.horizon();
         let total_days = config.fleet.max_study_days;
@@ -400,15 +393,7 @@ impl Study {
                 // any thread-local stack) is what nests them under the
                 // day in the timing tree.
                 let _lane_span = span!(obs, "simulate/day/lane", device = lane.idx);
-                Self::run_lane_day(
-                    lane,
-                    catalog,
-                    day_start,
-                    horizon,
-                    sharded.as_ref(),
-                    &server,
-                    config.path,
-                );
+                Self::run_lane_day(lane, catalog, day_start, horizon, &store, config.path);
             });
             // Reviews post serially in lane order: the store's pagination
             // (and therefore the crawler) sees one canonical posting order.
@@ -452,8 +437,7 @@ impl Study {
                 lane.buffer.flush();
                 if let Some(wire) = lane.wire.as_mut() {
                     for _ in 0..8 {
-                        lane.bytes_compressed +=
-                            wire.upload_pending(&mut lane.buffer, &mut |m| server.lock().handle(m));
+                        lane.bytes_compressed += wire.upload_pending(&mut lane.buffer);
                         if lane.buffer.pending_count() == 0 {
                             break;
                         }
@@ -461,8 +445,6 @@ impl Study {
                 }
             }
         }
-        let mut server = server.into_inner();
-
         // Lane retirement: chaos/retry counters and the per-lane deliver
         // histogram shards fold into the registry. Everything here is a
         // commutative add, so lane order cannot show in the totals.
@@ -491,36 +473,34 @@ impl Study {
         // Devices return to the fleet in lane (= fleet) order.
         fleet.devices = lanes.into_iter().map(|l| l.dev).collect();
 
-        // Sharded direct-path records converge into the server table.
-        if let Some(sharded) = sharded {
-            let _span = obs.span("simulate/shard_merge");
-            sharded.record_occupancy_to(&obs);
-            sharded.merge_into(&mut server);
-        }
         // Async-plane teardown: stop the reactor workers (their reports —
         // shed/stall/queue-depth counters and server spans — land in the
-        // registry), then drain the plane's sharded store and protocol
-        // stats into the aggregation server. Every lane has fully drained
-        // by now, so the workers' shutdown sweep only flushes queued
-        // duplicate retransmissions, which the idempotent ingest absorbs.
-        if let Some((srv, store)) = async_plane {
-            let _span = obs.span("simulate/async_shutdown");
-            let async_stats = srv.shutdown(&obs);
-            let store = Arc::try_unwrap(store)
-                .expect("workers joined at shutdown; the driver holds the last reference");
+        // registry) and take their server's stats. Every lane has fully
+        // drained by now, so the workers' shutdown sweep only flushes
+        // queued duplicate retransmissions, which the idempotent ingest
+        // absorbs.
+        let server_stats = match async_plane {
+            Some(srv) => {
+                let _span = obs.span("simulate/async_shutdown");
+                srv.shutdown(&obs)
+            }
+            None => server.stats(),
+        };
+        server_stats.record_to(&obs);
+        // Drain the store. Records come out sorted by install ID, the
+        // canonical order coalescing (which is order-sensitive) relies on.
+        drop(server);
+        let records = {
+            let _span = obs.span("simulate/shard_merge");
             store.record_occupancy_to(&obs);
-            store.merge_into(&mut server);
-            server.absorb_stats(&async_stats);
-        }
-        server.stats().record_to(&obs);
+            Arc::try_unwrap(store)
+                .expect("lanes and servers are gone; the driver holds the last reference")
+                .into_records()
+        };
         drop(simulate_span);
 
         // ---- assemble the measurement database ----------------------------
         let assemble_span = obs.span(keys::SPAN_ASSEMBLE);
-        // Canonical record order: sorted by install ID (HashMap iteration
-        // order must never reach coalescing, which is order-sensitive).
-        let mut records: Vec<InstallRecord> = server.records().cloned().collect();
-        records.sort_by_key(|r| r.install_id);
         let coalesced_devices = {
             let _span = obs.span("assemble/coalesce");
             let candidates: Vec<CandidateInstall> =
@@ -645,7 +625,7 @@ impl Study {
             columnar,
             campaigns,
             reviews_crawled: crawler.total_collected(),
-            server_stats: server.stats(),
+            server_stats,
             coalesced_devices,
             fleet,
             metrics,
@@ -663,8 +643,7 @@ impl Study {
         catalog: &racket_playstore::AppCatalog,
         day_start: SimTime,
         horizon: SimTime,
-        sharded: Option<&ShardedIngest>,
-        server: &parking_lot::Mutex<CollectionServer>,
+        store: &ShardedIngest,
         path: CollectionPath,
     ) {
         lane.scratch.begin_day();
@@ -718,7 +697,7 @@ impl Study {
             lane.batch.clear();
             lane.collector
                 .poll_into(&lane.dev.device, ta.time, &mut lane.batch);
-            Self::deliver(lane, sharded, server, path);
+            Self::deliver(lane, store, path);
             // Install/uninstall actions feed the incremental indexes and
             // the crawl-set deltas — guarded on the device's pre-action
             // state, so a directive re-install or a no-op uninstall
@@ -768,32 +747,23 @@ impl Study {
         lane.batch.clear();
         lane.collector
             .poll_into(&lane.dev.device, last_tick, &mut lane.batch);
-        Self::deliver(lane, sharded, server, path);
+        Self::deliver(lane, store, path);
         lane.scratch.actions = actions;
     }
 
     /// Deliver the lane's batched snapshots along the configured path.
     ///
     /// Direct: straight into the sharded store (concurrent across lanes).
-    /// Wire: through the lane's buffer and transport, with the server
-    /// behind a mutex — per-install aggregation is disjoint across lanes,
-    /// so the lock order cannot change the result.
-    fn deliver(
-        lane: &mut DeviceLane,
-        sharded: Option<&ShardedIngest>,
-        server: &parking_lot::Mutex<CollectionServer>,
-        path: CollectionPath,
-    ) {
+    /// Wire: through the lane's buffer and transport into the shared
+    /// server — per-install aggregation is disjoint across lanes, so the
+    /// interleaving cannot change the result.
+    fn deliver(lane: &mut DeviceLane, store: &ShardedIngest, path: CollectionPath) {
         // Timed into the lane's local histogram shard, not the shared
         // registry: delivery is the per-lane hot path, and a shard costs
         // one unsynchronized array bump per call.
         let start = Instant::now();
         match path {
-            CollectionPath::Direct => {
-                sharded
-                    .expect("direct path has a sharded store")
-                    .ingest_batch(lane.batch.snapshots());
-            }
+            CollectionPath::Direct => store.ingest_batch(lane.batch.snapshots()),
             CollectionPath::Wire | CollectionPath::AsyncWire => {
                 for s in lane.batch.snapshots() {
                     lane.buffer.push(s);
@@ -805,8 +775,7 @@ impl Study {
                     // final flush; replays are absorbed by the server's
                     // idempotent ingest.
                     let wire = lane.wire.as_mut().expect("wire path without lane");
-                    lane.bytes_compressed +=
-                        wire.upload_pending(&mut lane.buffer, &mut |m| server.lock().handle(m));
+                    lane.bytes_compressed += wire.upload_pending(&mut lane.buffer);
                 }
             }
         }
@@ -874,8 +843,8 @@ mod tests {
             "wire path compresses uploads"
         );
         assert!(
-            out.metrics.shard_occupancy.is_empty(),
-            "wire path is unsharded"
+            !out.metrics.shard_occupancy.is_empty(),
+            "the wire path ingests through the sharded store"
         );
         assert!(out.metrics.simulate_secs > 0.0);
         assert!(out.metrics.threads >= 1);

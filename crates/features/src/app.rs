@@ -197,7 +197,7 @@ mod tests {
     const I: InstallId = InstallId(1);
 
     fn base_observation() -> DeviceObservation {
-        let mut server = racket_collect::CollectionServer::new([P]);
+        let store = racket_collect::ShardedIngest::new(1);
         let perms = PermissionProfile {
             requested: vec![
                 Permission::Internet,
@@ -208,7 +208,7 @@ mod tests {
             denied: vec![Permission::ReadContacts],
         };
         // App installed on day 2 (before monitoring starts on day 10).
-        server.ingest_snapshot(&Snapshot::Fast(FastSnapshot {
+        store.ingest(&Snapshot::Fast(FastSnapshot {
             install_id: I,
             participant_id: P,
             time: SimTime::from_days(10),
@@ -221,7 +221,7 @@ mod tests {
             })],
         }));
         // A second day of foreground observations.
-        server.ingest_snapshot(&Snapshot::Fast(FastSnapshot {
+        store.ingest(&Snapshot::Fast(FastSnapshot {
             install_id: I,
             participant_id: P,
             time: SimTime::from_days(11),
@@ -230,7 +230,7 @@ mod tests {
             battery_pct: 85,
             install_events: vec![],
         }));
-        let record = server.record(I).unwrap().clone();
+        let record = store.record(I).unwrap();
         DeviceObservation {
             record,
             monitoring: TimeInterval::new(SimTime::from_days(10), SimTime::from_days(14)),

@@ -95,10 +95,10 @@ mod tests {
     const I: InstallId = InstallId(1);
 
     fn observation() -> DeviceObservation {
-        let mut server = racket_collect::CollectionServer::new([P]);
+        let store = racket_collect::ShardedIngest::new(1);
         // Two installed apps: one preinstalled (100), one user (1).
         for (app, install_day) in [(100u32, 0u64), (1, 11)] {
-            server.ingest_snapshot(&Snapshot::Fast(FastSnapshot {
+            store.ingest(&Snapshot::Fast(FastSnapshot {
                 install_id: I,
                 participant_id: P,
                 time: SimTime::from_days(10 + u64::from(app == 1)),
@@ -113,7 +113,7 @@ mod tests {
                 ))],
             }));
         }
-        server.ingest_snapshot(&Snapshot::Slow(SlowSnapshot {
+        store.ingest(&Snapshot::Slow(SlowSnapshot {
             install_id: I,
             participant_id: P,
             android_id: None,
@@ -127,7 +127,7 @@ mod tests {
             stopped_apps: vec![AppId(1)],
             review_events: vec![],
         }));
-        let record = server.record(I).unwrap().clone();
+        let record = store.record(I).unwrap();
         let mut reviews_by_app = HashMap::new();
         reviews_by_app.insert(
             AppId(1),

@@ -71,9 +71,9 @@ mod tests {
     use racket_types::{InstallId, ParticipantId, Rating, SimTime};
 
     fn observation() -> DeviceObservation {
-        let mut server = racket_collect::CollectionServer::new([ParticipantId(111_111)]);
+        let store = racket_collect::ShardedIngest::new(1);
         // Seed a record through direct ingestion.
-        server.ingest_snapshot(&racket_types::Snapshot::Fast(racket_types::FastSnapshot {
+        store.ingest(&racket_types::Snapshot::Fast(racket_types::FastSnapshot {
             install_id: InstallId(1),
             participant_id: ParticipantId(111_111),
             time: SimTime::from_days(10),
@@ -89,7 +89,7 @@ mod tests {
                 ),
             )],
         }));
-        let record = server.record(InstallId(1)).unwrap().clone();
+        let record = store.record(InstallId(1)).unwrap();
         let mut reviews_by_app = HashMap::new();
         reviews_by_app.insert(
             AppId(1),

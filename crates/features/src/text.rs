@@ -107,8 +107,8 @@ mod tests {
     const A: AppId = AppId(1);
 
     fn observation(reviews: Vec<ReviewEvent>) -> DeviceObservation {
-        let mut server = racket_collect::CollectionServer::new([P]);
-        server.ingest_snapshot(&Snapshot::Fast(FastSnapshot {
+        let store = racket_collect::ShardedIngest::new(1);
+        store.ingest(&Snapshot::Fast(FastSnapshot {
             install_id: I,
             participant_id: P,
             time: SimTime::from_days(10),
@@ -124,7 +124,7 @@ mod tests {
                 ),
             )],
         }));
-        server.ingest_snapshot(&Snapshot::Slow(SlowSnapshot {
+        store.ingest(&Snapshot::Slow(SlowSnapshot {
             install_id: I,
             participant_id: P,
             android_id: None,
@@ -135,7 +135,7 @@ mod tests {
             review_events: reviews,
         }));
         DeviceObservation {
-            record: server.record(I).unwrap().clone(),
+            record: store.record(I).unwrap(),
             monitoring: TimeInterval::new(SimTime::from_days(10), SimTime::from_days(14)),
             google_ids: vec![GoogleId(1), GoogleId(2)],
             reviews_by_app: HashMap::new(),

@@ -225,7 +225,7 @@ pub struct PipelineMetrics {
     /// framing and compression).
     pub bytes_compressed: u64,
     /// Install records held per ingest shard at the end of the run
-    /// (empty when the run used the unsharded wire path only).
+    /// (empty when no occupancy gauges were recorded).
     pub shard_occupancy: Vec<usize>,
     /// Transport faults injected by the configured fault plan.
     pub faults: FaultCounters,
@@ -310,7 +310,7 @@ impl PipelineMetrics {
     /// Multi-line human-readable report (what `study_summary` prints).
     pub fn report(&self) -> String {
         let occupancy = if self.shard_occupancy.is_empty() {
-            "unsharded (wire path)".to_string()
+            "unsharded".to_string()
         } else {
             let min = self.shard_occupancy.iter().min().copied().unwrap_or(0);
             let max = self.shard_occupancy.iter().max().copied().unwrap_or(0);

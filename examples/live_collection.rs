@@ -10,11 +10,11 @@
 //! cargo run --release --example live_collection
 //! ```
 
-use parking_lot::Mutex;
 use racket_collect::transport::recv_message;
 use racket_collect::wire::{FrameCodec, Message};
 use racket_collect::{
-    CollectionServer, CollectorConfig, DataBuffer, SnapshotCollector, TcpTransport, Transport,
+    CollectionServer, CollectorConfig, DataBuffer, ShardedIngest, SnapshotCollector, TcpTransport,
+    Transport,
 };
 use racket_device::{Device, DeviceModel};
 use racket_types::{
@@ -29,7 +29,8 @@ fn main() {
     println!("== Live collection over TCP loopback ==\n");
 
     // Server side.
-    let server = Arc::new(Mutex::new(CollectionServer::new([PARTICIPANT])));
+    let store = Arc::new(ShardedIngest::new(1));
+    let server = Arc::new(CollectionServer::new([PARTICIPANT], Arc::clone(&store)));
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr");
     println!("collection server listening on {addr}");
@@ -125,8 +126,7 @@ fn main() {
         .expect("serve_tcp");
 
     // 4. What the server aggregated.
-    let server = server.lock();
-    let record = server.record(INSTALL).expect("record exists");
+    let record = store.record(INSTALL).expect("record exists");
     println!(
         "\nserver aggregate: {} fast + {} slow snapshots over {} active day(s), {} apps observed",
         record.n_fast,

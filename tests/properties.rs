@@ -4,6 +4,10 @@
 //! * the wire codec round-trips arbitrary messages, in arbitrary chunkings,
 //!   and never accepts a frame with single-bit corruption anywhere the
 //!   CRC covers (header fields and payload alike);
+//! * the collection server core answers any upload — arbitrary bytes,
+//!   single-byte mutations of a valid file, uploads before sign-in — with
+//!   an ack, a 400 or a 401, never panics, changes no state when it
+//!   rejects, and still ingests a valid upload under the rejected file id;
 //! * LZSS round-trips arbitrary byte strings;
 //! * SMOTE balances exactly and synthesizes points inside the minority
 //!   class's bounding box;
@@ -20,10 +24,14 @@
 
 use proptest::prelude::*;
 use racket_collect::wire::{FrameCodec, Message};
-use racket_collect::{coalesce_installs, CandidateInstall};
+use racket_collect::{coalesce_installs, CandidateInstall, CollectionServer, ShardedIngest};
 use racket_ml::{smote, stratified_folds, Dataset};
-use racket_types::{AccountId, AndroidId, AppId, InstallId, ParticipantId, SimTime, TimeInterval};
+use racket_types::{
+    AccountId, AndroidId, AppId, FastSnapshot, InstallId, ParticipantId, SimTime, Snapshot,
+    TimeInterval,
+};
 use std::collections::HashSet;
+use std::sync::Arc;
 
 fn arb_message() -> impl Strategy<Value = Message> {
     prop_oneof![
@@ -258,6 +266,147 @@ fn coalescing_group_count_is_permutation_stable() {
         coalesce_installs(forward).len(),
         coalesce_installs(reversed).len()
     );
+}
+
+// ---------------------------------------------------------------------------
+// Collection server core: untrusted uploads.
+// ---------------------------------------------------------------------------
+
+const CORE_P: ParticipantId = ParticipantId(123_456);
+const CORE_I: InstallId = InstallId(1_000_000_000);
+/// Snapshots per valid upload file.
+const FILE_SNAPSHOTS: u64 = 3;
+
+/// A valid compressed upload file of `CORE_I`; distinct content per `k`.
+fn valid_file(k: u64) -> Vec<u8> {
+    let mut raw = Vec::new();
+    for i in 0..FILE_SNAPSHOTS {
+        let snap = Snapshot::Fast(FastSnapshot {
+            install_id: CORE_I,
+            participant_id: CORE_P,
+            time: SimTime::from_secs(k * 100 + i * 5),
+            foreground_app: Some(AppId(k as u32 % 7)),
+            screen_on: true,
+            battery_pct: 50,
+            install_events: vec![],
+        });
+        racket_collect::SnapshotCollector::serialize_into(&snap, &mut raw);
+    }
+    racket_collect::lzss::compress(&raw)
+}
+
+/// Something hostile to upload: arbitrary bytes, or a valid file with one
+/// byte XOR-ed by a nonzero mask.
+#[derive(Debug, Clone)]
+enum Hostile {
+    Bytes(Vec<u8>),
+    Mutate(usize, u8),
+}
+
+fn arb_hostile() -> impl Strategy<Value = Hostile> {
+    prop_oneof![
+        proptest::collection::vec(any::<u8>(), 0..512).prop_map(Hostile::Bytes),
+        (any::<usize>(), 1u8..=255).prop_map(|(i, m)| Hostile::Mutate(i, m)),
+    ]
+}
+
+fn upload(file_id: u64, payload: Vec<u8>) -> Message {
+    Message::SnapshotUpload {
+        install: CORE_I,
+        file_id,
+        fast: true,
+        payload,
+    }
+}
+
+/// Everything a rejected upload must leave alone: protocol counts, the
+/// store's snapshot count and per-shard record counts, and the install's
+/// record.
+#[derive(Debug, Clone, PartialEq)]
+struct CoreState {
+    files: u64,
+    dup_files: u64,
+    snapshots: u64,
+    occupancy: Vec<usize>,
+    record: Option<(u64, u64, SimTime, SimTime)>,
+}
+
+fn core_state(server: &CollectionServer, store: &ShardedIngest) -> CoreState {
+    let stats = server.stats();
+    CoreState {
+        files: stats.files,
+        dup_files: stats.dup_files,
+        snapshots: store.snapshots_ingested(),
+        occupancy: store.occupancy(),
+        record: store
+            .record(CORE_I)
+            .map(|r| (r.n_fast, r.n_slow, r.first_seen, r.last_seen)),
+    }
+}
+
+proptest! {
+    /// Untrusted input can produce an error reply but never a panic, and
+    /// the server's state must not change when it rejects input.
+    #[test]
+    fn server_core_rejects_hostile_uploads_without_state_change(
+        early in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..256), 0..4),
+        hostile in proptest::collection::vec(arb_hostile(), 1..12),
+    ) {
+        let store = Arc::new(ShardedIngest::new(4));
+        let server = CollectionServer::new([CORE_P], Arc::clone(&store));
+        // Before sign-in every upload is a 401 and changes nothing.
+        for (file_id, payload) in early.into_iter().enumerate() {
+            let reply = server.handle(upload(file_id as u64, payload));
+            prop_assert!(matches!(reply, Some(Message::Error { code: 401, .. })), "{:?}", reply);
+            prop_assert_eq!(core_state(&server, &store), CoreState {
+                files: 0,
+                dup_files: 0,
+                snapshots: 0,
+                occupancy: vec![0; 4],
+                record: None,
+            });
+        }
+        let signed_in = server.handle(Message::SignIn { participant: CORE_P, install: CORE_I });
+        prop_assert_eq!(signed_in, Some(Message::SignInAck { accepted: true }));
+        let base = server.handle(upload(0, valid_file(0)));
+        prop_assert!(matches!(base, Some(Message::UploadAck { file_id: 0, .. })));
+
+        for (k, input) in hostile.into_iter().enumerate() {
+            let file_id = k as u64 + 1;
+            let payload = match input {
+                Hostile::Bytes(bytes) => bytes,
+                Hostile::Mutate(at, mask) => {
+                    let mut file = valid_file(file_id);
+                    let i = at % file.len();
+                    file[i] ^= mask;
+                    file
+                }
+            };
+            let before = core_state(&server, &store);
+            match server.handle(upload(file_id, payload)) {
+                Some(Message::UploadAck { file_id: acked, .. }) => prop_assert_eq!(acked, file_id),
+                Some(Message::Error { code: 400 | 401, .. }) => {
+                    prop_assert_eq!(core_state(&server, &store), before);
+                }
+                other => prop_assert!(false, "unexpected reply {:?}", other),
+            }
+            // Nothing an upload of this install carries lands anywhere but
+            // in this install's record.
+            prop_assert_eq!(store.occupancy().iter().sum::<usize>(), 1);
+            // The valid file under the same id is a fresh upload, never a
+            // duplicate of whatever the hostile input left behind.
+            let before = core_state(&server, &store);
+            let reply = server.handle(upload(file_id, valid_file(file_id)));
+            prop_assert!(
+                matches!(reply, Some(Message::UploadAck { file_id: acked, .. }) if acked == file_id),
+                "{:?}", reply
+            );
+            let after = core_state(&server, &store);
+            prop_assert_eq!(after.files, before.files + 1);
+            prop_assert_eq!(after.dup_files, before.dup_files);
+            prop_assert_eq!(after.snapshots, before.snapshots + FILE_SNAPSHOTS);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

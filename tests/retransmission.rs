@@ -5,18 +5,22 @@
 
 use racket_collect::transport::{recv_message, MemTransport, Transport};
 use racket_collect::wire::{FrameCodec, Message};
-use racket_collect::{CollectionServer, CollectorConfig, DataBuffer, SnapshotCollector};
+use racket_collect::{
+    CollectionServer, CollectorConfig, DataBuffer, ShardedIngest, SnapshotCollector,
+};
 use racket_device::{Device, DeviceModel};
 use racket_types::{
     AndroidId, ApkHash, AppId, DeviceId, InstallId, ParticipantId, PermissionProfile, SimTime,
 };
+use std::sync::Arc;
 
 const P: ParticipantId = ParticipantId(123_456);
 const I: InstallId = InstallId(1_000_000_000);
 
 #[test]
 fn corrupted_uploads_are_retried_until_acknowledged() {
-    let mut server = CollectionServer::new([P]);
+    let store = Arc::new(ShardedIngest::new(1));
+    let server = CollectionServer::new([P], Arc::clone(&store));
     server.handle(Message::SignIn {
         participant: P,
         install: I,
@@ -90,7 +94,7 @@ fn corrupted_uploads_are_retried_until_acknowledged() {
         "corruption must have forced retries"
     );
     // Every snapshot arrived exactly once despite the lossy channel.
-    let rec = server.record(I).expect("record");
+    let rec = store.record(I).expect("record");
     assert_eq!(rec.n_fast + rec.n_slow, server.stats().snapshots);
     assert_eq!(server.stats().files as usize, total_files);
     assert_eq!(

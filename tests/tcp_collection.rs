@@ -2,11 +2,11 @@
 //! in concurrently, stream buffered snapshot files, and the threaded
 //! server aggregates everything without loss.
 
-use parking_lot::Mutex;
 use racket_collect::transport::recv_message;
 use racket_collect::wire::{FrameCodec, Message};
 use racket_collect::{
-    CollectionServer, CollectorConfig, DataBuffer, SnapshotCollector, TcpTransport, Transport,
+    CollectionServer, CollectorConfig, DataBuffer, ShardedIngest, SnapshotCollector, TcpTransport,
+    Transport,
 };
 use racket_device::{Device, DeviceModel};
 use racket_types::{
@@ -26,9 +26,11 @@ fn install(i: usize) -> InstallId {
 
 #[test]
 fn concurrent_tcp_clients_are_fully_ingested() {
-    let server = Arc::new(Mutex::new(CollectionServer::new(
+    let store = Arc::new(ShardedIngest::new(4));
+    let server = Arc::new(CollectionServer::new(
         (0..N_CLIENTS).map(participant),
-    )));
+        Arc::clone(&store),
+    ));
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
     let server_bg = Arc::clone(&server);
@@ -112,14 +114,13 @@ fn concurrent_tcp_clients_are_fully_ingested() {
         .expect("server thread")
         .expect("serve_tcp");
 
-    let server = server.lock();
     let stats = server.stats();
     assert_eq!(stats.sign_ins, N_CLIENTS as u64);
     assert_eq!(stats.bad_uploads, 0);
     // Polled each minute for 30 minutes: one snapshot at t = 0 plus every
     // 5-second tick through t = 1740 → 349 fast; every 2 minutes → 15 slow.
     for i in 0..N_CLIENTS {
-        let rec = server.record(install(i)).expect("record");
+        let rec = store.record(install(i)).expect("record");
         assert_eq!(rec.n_fast, 349, "client {i}");
         assert_eq!(rec.n_slow, 15, "client {i}");
         assert_eq!(rec.apps.len(), 3);
@@ -128,7 +129,10 @@ fn concurrent_tcp_clients_are_fully_ingested() {
 
 #[test]
 fn unknown_participant_is_rejected_over_tcp() {
-    let server = Arc::new(Mutex::new(CollectionServer::new([participant(0)])));
+    let server = Arc::new(CollectionServer::new(
+        [participant(0)],
+        Arc::new(ShardedIngest::new(1)),
+    ));
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
     let server_bg = Arc::clone(&server);
@@ -151,5 +155,5 @@ fn unknown_participant_is_rejected_over_tcp() {
     assert_eq!(ack, Message::SignInAck { accepted: false });
     drop(transport);
     handle.join().expect("thread").expect("serve");
-    assert_eq!(server.lock().stats().rejected_sign_ins, 1);
+    assert_eq!(server.stats().rejected_sign_ins, 1);
 }
