@@ -9,11 +9,14 @@
 //!   per-day cost);
 //! * `simulate/poll` — steady-state `poll_into` into a pooled
 //!   [`SnapshotBatch`] vs `poll` returning fresh vectors per call;
-//! * `simulate/lzss` — the u64 wide-compare match loop vs the
-//!   byte-at-a-time scalar reference on snapshot-like input.
+//! * `simulate/lzss` — the rotate-time compressor on a slow (≈8 KiB)
+//!   and a fast (≈100 KiB) accumulation file built from real snapshot
+//!   records.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use racket_agents::{DeviceAgent, IdAllocator, LaneScratch};
+use racket_collect::buffer::{FAST_ROTATE_BYTES, SLOW_ROTATE_BYTES};
+use racket_collect::codec::encode_record;
 use racket_collect::collector::{CollectorConfig, SnapshotBatch, SnapshotCollector};
 use racket_collect::lzss;
 use racket_playstore::{AppCatalog, CatalogConfig, GoogleIdDirectory, ReviewStore};
@@ -120,35 +123,48 @@ fn bench_poll(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_lzss(c: &mut Criterion) {
-    // Snapshot-like input: repetitive record framing with varying ids —
-    // the accumulation-file shape the codec actually compresses.
-    let mut data = Vec::new();
-    let mut x = 0x9e37_79b9_7f4a_7c15u64;
-    while data.len() < 256 * 1024 {
-        x = x.wrapping_mul(0xd129_0be1_5f0d_3db7).rotate_left(23);
-        data.extend_from_slice(b"snap|install=");
-        data.extend_from_slice(&(x as u32).to_le_bytes());
-        data.extend_from_slice(b"|screen=on|battery=087|events=[]");
+/// The files the data buffer actually compresses: one slow and one fast
+/// accumulation file, each filled with `encode_record` output from
+/// polling the study device until it crosses its rotate threshold
+/// (about 8 KiB and 100 KiB).
+fn accumulation_files() -> [(&'static str, Vec<u8>); 2] {
+    let (device, _, _) = study_device();
+    let mut collector =
+        SnapshotCollector::new(CollectorConfig::default(), InstallId(1), ParticipantId(1));
+    let mut batch = SnapshotBatch::new();
+    let (mut slow, mut fast) = (Vec::new(), Vec::new());
+    let mut now = SimTime::from_days(30).as_secs();
+    while slow.len() < SLOW_ROTATE_BYTES || fast.len() < FAST_ROTATE_BYTES {
+        now += 90;
+        batch.clear();
+        collector.poll_into(&device, SimTime::from_secs(now), &mut batch);
+        for snapshot in batch.snapshots() {
+            let (file, threshold) = if snapshot.is_fast() {
+                (&mut fast, FAST_ROTATE_BYTES)
+            } else {
+                (&mut slow, SLOW_ROTATE_BYTES)
+            };
+            if file.len() < threshold {
+                encode_record(snapshot, file);
+            }
+        }
     }
+    [("slow_file", slow), ("fast_file", fast)]
+}
+
+fn bench_lzss(c: &mut Criterion) {
     let mut g = c.benchmark_group("simulate/lzss");
-    g.throughput(Throughput::Bytes(data.len() as u64));
-    g.bench_function("wide_compare", |b| {
-        let mut ws = lzss::Workspace::new();
-        let mut out = Vec::new();
-        b.iter(|| {
-            ws.compress_into(&data, &mut out);
-            out.len()
+    for (name, data) in accumulation_files() {
+        g.throughput(Throughput::Bytes(data.len() as u64));
+        g.bench_function(name, |b| {
+            let mut ws = lzss::Workspace::new();
+            let mut out = Vec::new();
+            b.iter(|| {
+                ws.compress_into(std::hint::black_box(&data), &mut out);
+                out.len()
+            });
         });
-    });
-    g.bench_function("scalar_reference", |b| {
-        let mut ws = lzss::Workspace::new();
-        let mut out = Vec::new();
-        b.iter(|| {
-            ws.compress_into_scalar(&data, &mut out);
-            out.len()
-        });
-    });
+    }
     g.finish();
 }
 

@@ -735,6 +735,11 @@ mod tests {
         for round in 0..100 {
             assert!(round < 99, "files should ack within the retry budget");
             let sent = unacked.len();
+            // The round's frames go out as one chunk: the worker decodes
+            // every decodable frame before it drains the queue, so all but
+            // the first admitted upload are shed however the threads
+            // interleave.
+            let mut chunk = Vec::new();
             for &file_id in &unacked {
                 let msg = Message::SnapshotUpload {
                     install: I,
@@ -742,9 +747,10 @@ mod tests {
                     fast: true,
                     payload: payload(file_id * 10),
                 };
-                conn.send(&msg.encode_seq(seq)).unwrap();
+                chunk.extend_from_slice(&msg.encode_seq(seq));
                 seq += 1;
             }
+            conn.send(&chunk).unwrap();
             // On a clean link every sent frame gets exactly one reply:
             // an ack if it was admitted, a 429 if it was shed.
             let mut replies = 0;

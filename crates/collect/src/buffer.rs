@@ -61,8 +61,9 @@ pub struct DataBuffer {
     slow_file: Vec<u8>,
     ready: VecDeque<UploadFile>,
     next_file_id: u64,
-    /// Persistent LZSS state: hash chains survive across rotates, so a
-    /// rotate allocates nothing beyond the queued file's exact-size copy.
+    /// Persistent LZSS state, allocated by the first rotate: hash chains
+    /// survive across rotates, so later rotates allocate nothing beyond
+    /// the queued file's exact-size copy.
     workspace: lzss::Workspace,
     /// Reused compressed-output scratch (worst-case capacity after the
     /// first rotate, never regrown).

@@ -10,6 +10,12 @@
 //! bit = 1 means a back-reference of `(distance: u16 LE, length: u8)`
 //! with real length `length + MIN_MATCH`. Window 64 KiB, match lengths
 //! 4..=258.
+//!
+//! Match finding walks hash chains over 4-byte prefixes (at most
+//! `CHAIN_LIMIT` candidates per position) with one-step lazy matching.
+//! The output is a pure function of the input bytes; the collect crate's
+//! `tests/codec_props.rs` pins it byte for byte to a straightforward
+//! reference tokenizer kept in `tests/support/lzss_reference.rs`.
 
 /// Minimum back-reference length (shorter matches are stored literally).
 const MIN_MATCH: usize = 4;
@@ -23,8 +29,6 @@ const HASH_BITS: u32 = 15;
 const HASH_SIZE: usize = 1 << HASH_BITS;
 /// Maximum candidates examined per position before giving up.
 const CHAIN_LIMIT: u32 = 32;
-/// Empty-slot sentinel in the hash chains.
-const NIL: u32 = u32::MAX;
 
 /// Worst-case compressed size for `n` input bytes: an all-literal stream
 /// costs one flag byte per 8 literals, plus a small cushion. Reserving
@@ -43,27 +47,23 @@ fn hash4(d: &[u8]) -> usize {
 /// Length of the common prefix of `data[c..]` and `data[i..]`, capped at
 /// `max_len`. Requires `c < i` and `i + max_len <= data.len()`.
 ///
-/// With `WIDE` the comparison runs eight bytes at a time: both reads stay
-/// in bounds (`l + 8 <= max_len` implies `i + l + 8 <= data.len()`, and
-/// `c < i` keeps the candidate read strictly earlier), and on a mismatch
-/// the first differing byte is recovered from the trailing zeros of the
-/// little-endian XOR — so the result is byte-for-byte the scalar answer,
-/// just computed a word at a time. The scalar variant is kept as the
-/// reference the property tests pin the wide path against.
+/// Compares eight bytes at a time: both reads stay in bounds
+/// (`l + 8 <= max_len` implies `i + l + 8 <= data.len()`, and `c < i`
+/// keeps the candidate read strictly earlier), and on a mismatch the
+/// first differing byte is recovered from the trailing zeros of the
+/// little-endian XOR, so the result is the byte-at-a-time answer.
 #[inline]
-fn match_len<const WIDE: bool>(data: &[u8], c: usize, i: usize, max_len: usize) -> usize {
+fn match_len(data: &[u8], c: usize, i: usize, max_len: usize) -> usize {
     debug_assert!(c < i && i + max_len <= data.len());
     let mut l = 0usize;
-    if WIDE {
-        while l + 8 <= max_len {
-            let a = u64::from_le_bytes(data[c + l..c + l + 8].try_into().unwrap());
-            let b = u64::from_le_bytes(data[i + l..i + l + 8].try_into().unwrap());
-            let diff = a ^ b;
-            if diff != 0 {
-                return l + (diff.trailing_zeros() / 8) as usize;
-            }
-            l += 8;
+    while l + 8 <= max_len {
+        let a = u64::from_le_bytes(data[c + l..c + l + 8].try_into().unwrap());
+        let b = u64::from_le_bytes(data[i + l..i + l + 8].try_into().unwrap());
+        let diff = a ^ b;
+        if diff != 0 {
+            return l + (diff.trailing_zeros() / 8) as usize;
         }
+        l += 8;
     }
     while l < max_len && data[c + l] == data[i + l] {
         l += 1;
@@ -71,100 +71,100 @@ fn match_len<const WIDE: bool>(data: &[u8], c: usize, i: usize, max_len: usize) 
     l
 }
 
-/// Reusable compression state: the hash-chain `head`/`prev` arrays and a
-/// generation counter that invalidates `head` entries between runs without
-/// touching memory.
+/// Reusable compression state: the hash-chain `head`/`prev` arrays.
 ///
-/// A fresh pair of chain arrays costs ~384 KiB of allocation + memset per
-/// call at the buffer module's rotate sizes; a per-lane `Workspace` pays
-/// that once and then compresses allocation-free forever: `head` slots are
-/// lazily reset by comparing their generation stamp against the current
-/// run's, and `prev` needs no reset at all (a `prev[i]` is only ever read
-/// by walking a chain rooted in a current-generation `head` slot, and
-/// every position on such a chain was written during the current run).
+/// Chains hold *position offsets*: input position `pos` of a run is
+/// stored as `base + pos`, and each run starts its `base` above every
+/// offset an earlier run stored. A chain walk therefore ends at the first
+/// offset below `base` (or outside the window), so neither array needs a
+/// clear between runs: a `prev[pos]` is only read after `pos` was
+/// inserted in the current run. When the offsets would pass `u32::MAX`,
+/// `head` is zeroed once and `base` restarts at 1 (0 marks an empty
+/// slot).
+///
+/// [`Workspace::new`] allocates nothing; `head` (128 KiB) and `prev`
+/// (4 bytes per input byte) are created by the first compress, so a
+/// buffer that never rotates never pays for them. After that a per-lane
+/// workspace compresses without allocating.
 ///
 /// Output is a pure function of the input bytes: a reused workspace
 /// produces byte-identical streams to a fresh one (property-tested in
 /// `tests/codec_props.rs`).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Workspace {
+    /// Per hash bucket, the offset of the latest position with that hash.
     head: Vec<u32>,
-    head_gen: Vec<u32>,
+    /// Per position, the offset of the previous position in its chain.
     prev: Vec<u32>,
-    gen: u32,
-}
-
-impl Default for Workspace {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// Offset of position 0 of the next run.
+    base: u32,
 }
 
 impl Workspace {
-    /// A fresh workspace. The chain arrays are sized on first use.
+    /// A fresh workspace. Allocates nothing until the first compress.
     pub fn new() -> Workspace {
-        Workspace {
-            head: vec![0; HASH_SIZE],
-            head_gen: vec![0; HASH_SIZE],
-            prev: Vec::new(),
-            gen: 0,
-        }
+        Workspace::default()
     }
 
-    /// Start a new compression run: bump the generation (staling every
-    /// `head` slot in O(1)) and make sure `prev` covers the input.
-    fn begin(&mut self, n: usize) {
+    /// Start a run over `n` input bytes and return its `base`: size the
+    /// chain arrays, and restart the offsets when they would wrap.
+    fn begin(&mut self, n: usize) -> u32 {
         if self.prev.len() < n {
             self.prev.resize(n, 0);
         }
-        if self.gen == u32::MAX {
-            // Generation wrap: one hard reset every 2^32 - 1 runs.
-            self.head_gen.fill(0);
-            self.gen = 0;
+        assert!(n < u32::MAX as usize, "LZSS input must be under 4 GiB");
+        let n = n as u32;
+        if self.head.is_empty() {
+            self.head = vec![0; HASH_SIZE];
+            self.base = 1;
+        } else if self.base.checked_add(n).is_none() {
+            self.head.fill(0);
+            self.base = 1;
         }
-        self.gen += 1;
+        let base = self.base;
+        self.base += n;
+        base
     }
 
+    /// Chain position `pos` (which has four bytes left to hash).
     #[inline]
-    fn chain_head(&self, h: usize) -> u32 {
-        if self.head_gen[h] == self.gen {
-            self.head[h]
-        } else {
-            NIL
-        }
-    }
-
-    #[inline]
-    fn insert(&mut self, h: usize, pos: usize) {
-        self.prev[pos] = self.chain_head(h);
-        self.head[h] = pos as u32;
-        self.head_gen[h] = self.gen;
+    fn insert(&mut self, data: &[u8], pos: usize, base: u32) {
+        let h = hash4(&data[pos..]);
+        self.prev[pos] = self.head[h];
+        self.head[h] = base + pos as u32;
     }
 
     /// Longest match for `data[i..]` among chained earlier positions.
     /// Returns `(length, distance)`; length 0 means no candidate.
     #[inline]
-    fn find_match<const WIDE: bool>(&self, data: &[u8], i: usize) -> (usize, usize) {
-        let mut best_len = 0usize;
-        let mut best_dist = 0usize;
+    fn find_match(&self, data: &[u8], i: usize, base: u32) -> (usize, usize) {
         if i + MIN_MATCH > data.len() {
             return (0, 0);
         }
         let max_len = (data.len() - i).min(MAX_MATCH);
-        let mut cand = self.chain_head(hash4(&data[i..]));
-        let mut chain = 0;
-        while cand != NIL && i - cand as usize <= WINDOW && chain < CHAIN_LIMIT {
-            let c = cand as usize;
-            let l = match_len::<WIDE>(data, c, i, max_len);
-            if l > best_len {
-                best_len = l;
-                best_dist = i - c;
-                if l == max_len {
-                    break;
+        // Oldest usable offset: written by this run, inside the window.
+        let floor = base.max((base + i as u32).saturating_sub(WINDOW as u32));
+        let mut best_len = 0usize;
+        let mut best_dist = 0usize;
+        let mut cand = self.head[hash4(&data[i..])];
+        for _ in 0..CHAIN_LIMIT {
+            if cand < floor {
+                break;
+            }
+            let c = (cand - base) as usize;
+            // `best_len < max_len` here, so both reads are in bounds; a
+            // candidate differing at `best_len` cannot beat the best.
+            if data[c + best_len] == data[i + best_len] {
+                let l = match_len(data, c, i, max_len);
+                if l > best_len {
+                    best_len = l;
+                    best_dist = i - c;
+                    if l == max_len {
+                        break;
+                    }
                 }
             }
             cand = self.prev[c];
-            chain += 1;
         }
         (best_len, best_dist)
     }
@@ -176,28 +176,15 @@ impl Workspace {
     /// Uses one-step lazy matching: when the position after a match start
     /// holds a strictly longer match, the first byte is emitted as a
     /// literal instead, improving ratio on snapshot streams at equal
-    /// speed. Match comparison runs eight bytes at a time; the output is
-    /// byte-identical to [`Workspace::compress_into_scalar`]
-    /// (property-tested in `tests/codec_props.rs`).
+    /// speed.
     pub fn compress_into(&mut self, data: &[u8], out: &mut Vec<u8>) {
-        self.compress_impl::<true>(data, out);
-    }
-
-    /// Byte-at-a-time reference implementation of
-    /// [`Workspace::compress_into`]: same tokenizer, scalar match loop.
-    /// Exists so the wide-compare fast path has an in-tree oracle; not
-    /// used on any hot path.
-    pub fn compress_into_scalar(&mut self, data: &[u8], out: &mut Vec<u8>) {
-        self.compress_impl::<false>(data, out);
-    }
-
-    fn compress_impl<const WIDE: bool>(&mut self, data: &[u8], out: &mut Vec<u8>) {
         out.clear();
         if data.is_empty() {
             return;
         }
         out.reserve(max_compressed_len(data.len()));
-        self.begin(data.len());
+        let base = self.begin(data.len());
+        let n = data.len();
 
         let mut i = 0;
         let mut flag_pos = out.len();
@@ -220,22 +207,28 @@ impl Workspace {
             }};
         }
 
-        while i < data.len() {
-            let (best_len, best_dist) = self.find_match::<WIDE>(data, i);
+        // The lazy peek's result, when it won and `i` moved onto it.
+        let mut deferred = None;
+        while i < n {
+            let (best_len, best_dist) = deferred
+                .take()
+                .unwrap_or_else(|| self.find_match(data, i, base));
 
             if best_len >= MIN_MATCH {
                 // One-step lazy matching: peek at i + 1 before committing.
-                // `i` must be inserted first so the peek can chain to it.
-                if i + MIN_MATCH <= data.len() {
-                    self.insert(hash4(&data[i..]), i);
-                }
+                // `i` must be inserted first so the peek can chain to it
+                // (a match implies four bytes are left to hash).
+                self.insert(data, i, base);
                 if best_len < MAX_MATCH {
-                    let (next_len, _) = self.find_match::<WIDE>(data, i + 1);
-                    if next_len > best_len {
+                    let next = self.find_match(data, i + 1, base);
+                    if next.0 > best_len {
                         // The deferred match is strictly better: spend a
-                        // literal and re-find it on the next iteration.
+                        // literal and take it on the next iteration. The
+                        // literal inserts nothing, so searching i + 1
+                        // again would find exactly `next`.
                         emit_token!(false, &data[i..=i]);
                         i += 1;
+                        deferred = Some(next);
                         continue;
                     }
                 }
@@ -245,20 +238,25 @@ impl Workspace {
                     true,
                     &[dist.to_le_bytes()[0], dist.to_le_bytes()[1], len_code]
                 );
-                // Insert hash entries for the remaining covered positions
-                // (`i` itself is already in).
+                // Chain the rest of the span (`i` itself is already in)
+                // up to the last position with four bytes left to hash.
                 let end = i + best_len;
-                i += 1;
-                while i < end {
-                    if i + MIN_MATCH <= data.len() {
-                        self.insert(hash4(&data[i..]), i);
-                    }
-                    i += 1;
+                let stop = end.min(n - MIN_MATCH + 1);
+                let mut offset = base + i as u32;
+                for (slot, window) in self.prev[i + 1..stop]
+                    .iter_mut()
+                    .zip(data[i + 1..].windows(MIN_MATCH))
+                {
+                    offset += 1;
+                    let h = hash4(window);
+                    *slot = self.head[h];
+                    self.head[h] = offset;
                 }
+                i = end;
             } else {
                 emit_token!(false, &data[i..=i]);
-                if i + MIN_MATCH <= data.len() {
-                    self.insert(hash4(&data[i..]), i);
+                if i + MIN_MATCH <= n {
+                    self.insert(data, i, base);
                 }
                 i += 1;
             }
@@ -507,7 +505,7 @@ mod tests {
     #[test]
     fn workspace_reuse_matches_fresh_state() {
         // One workspace across many inputs must produce the same bytes as
-        // a throwaway workspace per input (the generation-stamp contract).
+        // a throwaway workspace per input (the position-offset contract).
         let inputs: Vec<Vec<u8>> = vec![
             b"aaaaaaaaaaaaaaaaaaaaaaaa".to_vec(),
             b"abcdefgh".repeat(100),
@@ -523,6 +521,34 @@ mod tests {
         for data in inputs.iter().rev() {
             assert_eq!(ws.compress(data), compress(data));
         }
+    }
+
+    #[test]
+    fn chain_arrays_are_allocated_by_the_first_compress() {
+        let mut ws = Workspace::new();
+        assert_eq!((ws.head.capacity(), ws.prev.capacity()), (0, 0));
+        ws.compress(b"abcdabcdabcd");
+        assert_eq!(ws.head.len(), HASH_SIZE);
+        assert!(ws.prev.len() >= 12);
+    }
+
+    #[test]
+    fn position_offset_wrap_restarts_cleanly() {
+        // Push `base` to the top of the u32 range. A run whose offsets end
+        // exactly at u32::MAX - 1 needs no restart; the next run must
+        // zero `head` and restart at 1, and no offset left over from the
+        // high run may leak into its chains.
+        let data = b"wrap-around-motif;install=7;".repeat(400);
+        let fresh = compress(&data);
+        let n = data.len() as u32;
+        let mut ws = Workspace::new();
+        assert_eq!(ws.compress(&data), fresh);
+        ws.base = u32::MAX - n;
+        assert_eq!(ws.compress(&data), fresh);
+        assert_eq!(ws.base, u32::MAX);
+        assert_eq!(ws.compress(&data), fresh);
+        assert_eq!(ws.base, 1 + n, "offsets restarted");
+        assert_eq!(ws.compress(&data), fresh);
     }
 
     #[test]

@@ -4,12 +4,20 @@
 //!   snapshot and agree with the serde model it replaced (the same struct
 //!   encoded as JSON lines must parse, through `serde_json`, to the same
 //!   value).
-//! * A reused LZSS workspace must be a pure optimization: its output is
-//!   byte-for-byte the output of a fresh compressor.
+//! * The LZSS compressor must emit byte-for-byte the stream of the
+//!   reference tokenizer in `support/lzss_reference.rs`, on arbitrary
+//!   bytes and on accumulation files at the buffer's real rotate sizes,
+//!   and a reused workspace must match a fresh one.
 //! * `deserialize_file` must reject truncated, corrupted or non-binary
 //!   input with an error, never a panic.
 
+mod support {
+    pub mod lzss_reference;
+}
+
 use proptest::prelude::*;
+use racket_collect::buffer::{FAST_ROTATE_BYTES, SLOW_ROTATE_BYTES};
+use racket_collect::codec::encode_record;
 use racket_collect::collector::SnapshotCollector;
 use racket_collect::lzss;
 use racket_types::{
@@ -17,6 +25,7 @@ use racket_types::{
     InstallId, InstalledApp, ParticipantId, Permission, PermissionProfile, Rating,
     RegisteredAccount, ReviewEvent, SimTime, SlowSnapshot, Snapshot,
 };
+use support::lzss_reference::{ReferenceWorkspace, WINDOW};
 
 fn permission() -> impl Strategy<Value = Permission> {
     (0..Permission::ALL.len()).prop_map(|i| Permission::ALL[i])
@@ -162,6 +171,37 @@ fn snapshot() -> impl Strategy<Value = Snapshot> {
     prop_oneof![fast, slow]
 }
 
+/// An accumulation file as the data buffer builds one: `encode_record`
+/// outputs appended until the file reaches `target` bytes. Records cycle
+/// through `snaps` with the capture time advancing, so consecutive
+/// records share most bytes, as consecutive snapshots of a device do.
+fn accumulation_file(snaps: &[Snapshot], target: usize) -> Vec<u8> {
+    let mut file = Vec::new();
+    for (k, s) in snaps.iter().cycle().enumerate() {
+        if file.len() >= target {
+            break;
+        }
+        let mut s = s.clone();
+        let time = match &mut s {
+            Snapshot::Fast(f) => &mut f.time,
+            Snapshot::Slow(f) => &mut f.time,
+        };
+        *time = SimTime::from_secs(time.as_secs().wrapping_add(5 * k as u64));
+        encode_record(&s, &mut file);
+    }
+    file
+}
+
+/// Rotate sizes worth covering: past the slow threshold, past the 64 KiB
+/// window and past the fast threshold.
+fn rotate_size() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        SLOW_ROTATE_BYTES..SLOW_ROTATE_BYTES + 2_048,
+        WINDOW + 1..WINDOW + 8_192,
+        FAST_ROTATE_BYTES..FAST_ROTATE_BYTES + 2_048,
+    ]
+}
+
 proptest! {
     /// Binary encode → decode is the identity on any snapshot sequence.
     #[test]
@@ -217,19 +257,16 @@ proptest! {
         }
     }
 
-    /// The u64-wide match loop is a pure speedup: on arbitrary input the
-    /// wide compressor's stream is byte-identical to the scalar
-    /// reference's, and decompresses back to the input.
+    /// On arbitrary input the compressor's stream is byte-identical to
+    /// the reference's, and decompresses back to the input.
     #[test]
-    fn wide_compare_compressor_matches_scalar_reference(
+    fn compressor_matches_reference_on_arbitrary_bytes(
         data in proptest::collection::vec(any::<u8>(), 0..4_096)
     ) {
-        let mut wide_out = Vec::new();
-        let mut scalar_out = Vec::new();
-        lzss::Workspace::new().compress_into(&data, &mut wide_out);
-        lzss::Workspace::new().compress_into_scalar(&data, &mut scalar_out);
-        prop_assert_eq!(&wide_out, &scalar_out);
-        prop_assert_eq!(&lzss::decompress(&wide_out).expect("round trip"), &data);
+        let mut out = Vec::new();
+        lzss::Workspace::new().compress_into(&data, &mut out);
+        prop_assert_eq!(&out, &ReferenceWorkspace::new().compress(&data));
+        prop_assert_eq!(&lzss::decompress(&out).expect("round trip"), &data);
     }
 
     /// Same property on the adversarial-for-LZSS case: highly repetitive
@@ -237,17 +274,58 @@ proptest! {
     /// the lazy-matching peek dominate (this also drives the doubling
     /// overlapped-copy path in `decompress_into`).
     #[test]
-    fn wide_compare_matches_scalar_on_repetitive_input(
+    fn compressor_matches_reference_on_repetitive_input(
         motif in proptest::collection::vec(0u8..4, 1..24),
         reps in 1usize..400,
     ) {
         let data: Vec<u8> = motif.iter().copied().cycle().take(motif.len() * reps).collect();
-        let mut wide_out = Vec::new();
-        let mut scalar_out = Vec::new();
-        lzss::Workspace::new().compress_into(&data, &mut wide_out);
-        lzss::Workspace::new().compress_into_scalar(&data, &mut scalar_out);
-        prop_assert_eq!(&wide_out, &scalar_out);
-        prop_assert_eq!(&lzss::decompress(&wide_out).expect("round trip"), &data);
+        let mut out = Vec::new();
+        lzss::Workspace::new().compress_into(&data, &mut out);
+        prop_assert_eq!(&out, &ReferenceWorkspace::new().compress(&data));
+        prop_assert_eq!(&lzss::decompress(&out).expect("round trip"), &data);
+    }
+
+    /// A repeat just inside, exactly at and just past the window: the
+    /// motif's second copy starts `gap` bytes after the first, with
+    /// incompressible filler in between.
+    #[test]
+    fn compressor_matches_reference_at_the_window_edge(
+        motif in proptest::collection::vec(any::<u8>(), 4..300),
+        gap in prop_oneof![Just(WINDOW - 1), Just(WINDOW), Just(WINDOW + 1)],
+        seed in any::<u32>(),
+    ) {
+        let mut data = motif.clone();
+        let mut x = seed | 1;
+        while data.len() < gap {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            data.push(x as u8);
+        }
+        data.extend_from_slice(&motif);
+        let out = lzss::Workspace::new().compress(&data);
+        prop_assert_eq!(&out, &ReferenceWorkspace::new().compress(&data));
+        prop_assert_eq!(&lzss::decompress(&out).expect("round trip"), &data);
+    }
+    /// A sequence of accumulation files at real rotate sizes, compressed
+    /// through one reused workspace, matches a fresh reference run on
+    /// every file and round-trips.
+    #[test]
+    fn accumulation_files_match_reference_through_one_workspace(
+        files in proptest::collection::vec(
+            (proptest::collection::vec(snapshot(), 1..12), rotate_size()),
+            1..4,
+        )
+    ) {
+        let mut ws = lzss::Workspace::new();
+        let mut out = Vec::new();
+        for (snaps, target) in &files {
+            let data = accumulation_file(snaps, *target);
+            prop_assert!(data.len() >= *target);
+            ws.compress_into(&data, &mut out);
+            prop_assert_eq!(&out, &ReferenceWorkspace::new().compress(&data));
+            prop_assert_eq!(&lzss::decompress(&out).expect("round trip"), &data);
+        }
     }
 
     /// Truncating a valid binary file anywhere inside a record must error,
